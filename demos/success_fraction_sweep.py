@@ -29,7 +29,7 @@ for n_sensors in (5, 4):
         seed=SEED,
         scale_grid=DEFAULT_SCALE_GRID,
     )
-    summary = run_sweep(config, n_jobs=4)
+    summary = run_sweep(config)
     rows.extend(summary.cells)
 
     print(f"\n=== {n_sensors}-sensor solver, {N_INSTANCES} instances per scale ===")

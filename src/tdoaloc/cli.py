@@ -17,12 +17,8 @@ from .errors import (
     ScenarioFormatError,
     SingularMatrixError,
 )
-from .measurement import (
-    Scenario,
-    document_deltas,
-    load_scenario,
-    write_scenario,
-)
+from .locate import localize
+from .measurement import document_deltas, load_scenario, write_scenario
 from .montecarlo import (
     DEFAULT_SCALE_GRID,
     DEFAULT_THRESHOLDS,
@@ -33,8 +29,6 @@ from .montecarlo import (
     sample_scenario,
 )
 from .result import LocalizationResult
-from .solver4 import solve_four_sensor
-from .solver5 import solve_five_sensor
 
 EXIT_OK = 0
 EXIT_PARSE_ERROR = 2
@@ -53,13 +47,6 @@ CSV_COLUMNS = (
     "n_numerical",
     "n_instances",
 )
-
-
-def localize(sensors, deltas) -> LocalizationResult:
-    """Dispatch to the exact solver matching the array size."""
-    if sensors.n_sensors == 5:
-        return solve_five_sensor(sensors, deltas)
-    return solve_four_sensor(sensors, deltas)
 
 
 def _exit_code(err: LocalizationError) -> int:
@@ -196,7 +183,7 @@ def cmd_sweep(args) -> int:
     except InvalidConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID_CONFIG
-    summary = run_sweep(config, n_jobs=args.jobs)
+    summary = run_sweep(config)
     writers = {"csv": write_sweep_csv, "json": write_sweep_json}
     writer = writers[args.format]
     if args.out:
@@ -219,17 +206,11 @@ def cmd_gen(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return _exit_code(err)
     if args.out:
-        write_scenario(args.out, scenario)
+        with open(args.out, "w") as out:
+            write_scenario(out, scenario)
     else:
-        print(json.dumps(_scenario_obj(scenario), indent=2))
+        write_scenario(sys.stdout, scenario)
     return EXIT_OK
-
-
-def _scenario_obj(scenario: Scenario) -> dict:
-    return {
-        "sensors": [[float(v) for v in row] for row in scenario.sensors.positions],
-        "source": [float(v) for v in scenario.source],
-    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.add_argument("--out", default=None, help="output path (default stdout)")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="worker threads")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_gen = sub.add_parser("gen", help="generate a random scenario file with truth source")

@@ -1,12 +1,10 @@
-"""Fixed-size 3D linear algebra kernel: 3-vectors, 3x3 matrices, pivoted solve.
+"""Fixed-size 3D linear algebra kernel: the pivoted 3x3 solve.
 
-All functions are pure, operate on plain numpy arrays (shape ``(3,)`` and
-``(3, 3)``) and python floats, and are safe to call concurrently.
+Pure: operates on plain numpy arrays (shape ``(3,)``, ``(3, k)`` and
+``(3, 3)``) and python floats.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -16,36 +14,6 @@ from .errors import SingularMatrixError
 EPS_RANK = 1e-12
 
 Vec3 = np.ndarray
-Mat3 = np.ndarray
-
-
-def vec3(x: float, y: float, z: float) -> Vec3:
-    """Build a 3-vector, rejecting NaN/Inf components."""
-    v = np.array([x, y, z], dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"vector components must be finite, got {v!r}")
-    return v
-
-
-def mat3(rows) -> Mat3:
-    """Build a 3x3 matrix from row-major entries, rejecting NaN/Inf."""
-    m = np.asarray(rows, dtype=float).reshape(3, 3)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
-    return m
-
-
-def dot(a, b) -> float:
-    """Inner product of two 3-vectors."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return float(a[0] * b[0] + a[1] * b[1] + a[2] * b[2])
-
-
-def norm(a) -> float:
-    """Euclidean length of a 3-vector."""
-    a = np.asarray(a, dtype=float)
-    return math.sqrt(float(a[0] * a[0] + a[1] * a[1] + a[2] * a[2]))
 
 
 def solve3_pivoted(matrix, rhs) -> tuple[np.ndarray, tuple[float, float, float]]:
@@ -112,7 +80,3 @@ def solve3_pivoted(matrix, rhs) -> tuple[np.ndarray, tuple[float, float, float]]
     x = np.array(xs[0]) if v.ndim == 1 else np.array(xs).T
     return x, (pivots[0], pivots[1], pivots[2])
 
-
-def solve3(matrix, rhs) -> Vec3:
-    """Solve a 3x3 linear system; see :func:`solve3_pivoted`."""
-    return solve3_pivoted(matrix, rhs)[0]

@@ -13,6 +13,7 @@ is an explicit separate step so acoustic and EM data share one solver path).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -230,13 +231,15 @@ def load_scenario(path) -> ScenarioDocument:
         raise ScenarioFormatError(f"bad sensor list: {err}") from err
     n = sensors.n_sensors
 
-    c = float(raw.get("c", SPEED_OF_LIGHT))
-    if not c > 0.0:
-        raise ScenarioFormatError(f"propagation speed must be positive, got {c}")
-
     source = None
     deltas = None
     try:
+        raw_c = raw.get("c", SPEED_OF_LIGHT)
+        if isinstance(raw_c, bool):
+            raise ValueError(f"propagation speed must be a number, got {raw_c}")
+        c = float(raw_c)
+        if not 0.0 < c < math.inf:
+            raise ValueError(f"propagation speed must be positive and finite, got {c}")
         if "source" in raw:
             source = np.asarray(raw["source"], dtype=float)
             if source.shape != (3,) or not np.all(np.isfinite(source)):
@@ -261,17 +264,29 @@ def load_scenario(path) -> ScenarioDocument:
     return ScenarioDocument(sensors=sensors, source=source, deltas=deltas, c=c)
 
 
-def write_scenario(path, scenario: Scenario) -> None:
-    """Write a scenario (with truth source) as a scenario document."""
+def write_scenario(out, scenario: Scenario) -> None:
+    """Write a scenario (with truth source) as a scenario document to the
+    text stream ``out``."""
     doc = {
         "sensors": [[float(v) for v in row] for row in scenario.sensors.positions],
         "source": [float(v) for v in scenario.source],
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    out.write(json.dumps(doc, indent=2) + "\n")
 
 
 def document_deltas(doc: ScenarioDocument) -> RangeDifferences:
-    """Range differences for a document: as given, or forward-modelled."""
+    """Range differences for a document: as given, or forward-modelled.
+
+    Raises:
+        ScenarioFormatError: if the source sits on a sensor or is too far
+            out for the forward model to stay finite.
+    """
     if doc.deltas is not None:
         return doc.deltas
-    return range_differences(Scenario(sensors=doc.sensors, source=doc.source))
+    try:
+        # A source too far out overflows to non-finite range differences,
+        # which RangeDifferences rejects; numpy need not warn as well.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return range_differences(Scenario(sensors=doc.sensors, source=doc.source))
+    except ValueError as err:
+        raise ScenarioFormatError(f"bad source: {err}") from err

@@ -1,21 +1,22 @@
 """Randomized success-fraction experiments for the exact solvers.
 
 Scenarios are drawn with sensor coordinates uniform on [-0.5, 0.5] and source
-coordinates uniform on the same cube shrunk by ``source_scale``. Each
-instance runs the matching solver on noise-free forward-modelled range
-differences and is scored by relative position error against one or more
-thresholds. Failures are attributed to singular geometry, a wrong quadratic
-root (the losing candidate matches truth), or plain numerical error.
+coordinates uniform on the same cube shrunk by a source scale. Each instance
+runs the matching solver on noise-free forward-modelled range differences and
+is scored by relative position error against one or more thresholds. Failures
+are attributed, per threshold, to singular geometry, a wrong quadratic root
+(the losing candidate is within the threshold of truth), or plain numerical
+error.
 
 Instances are seeded independently via a splittable hash of
 (seed, scale index, instance index), so sweeps are reproducible bit-for-bit
-regardless of execution order or worker count.
+regardless of the order in which instances are run.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -28,10 +29,9 @@ from .errors import (
     LocalizationError,
     SingularMatrixError,
 )
+from .locate import localize
 from .measurement import Scenario, SensorArray, range_differences
-from .result import LocalizationResult, Method
-from .solver4 import solve_four_sensor
-from .solver5 import solve_five_sensor
+from .result import LocalizationResult
 
 DEFAULT_THRESHOLDS = (1e-6, 1e-3)
 DEFAULT_SCALE_GRID = tuple(float(s) for s in np.logspace(-6.0, 0.0, 13))
@@ -50,32 +50,21 @@ class ExperimentConfig:
 
     n_sensors: int = 5
     n_instances: int = 1000
-    source_scale: float = 1.0
     thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
     seed: int = 0
-    scale_grid: tuple[float, ...] | None = None
+    scale_grid: tuple[float, ...] = (1.0,)  # source scales, one sweep row each
 
     def __post_init__(self):
         object.__setattr__(self, "thresholds", tuple(float(t) for t in self.thresholds))
-        if self.scale_grid is not None:
-            object.__setattr__(
-                self, "scale_grid", tuple(float(s) for s in self.scale_grid)
-            )
+        object.__setattr__(self, "scale_grid", tuple(float(s) for s in self.scale_grid))
         if self.n_sensors not in (4, 5):
             raise InvalidConfigError(f"n_sensors must be 4 or 5, got {self.n_sensors}")
         if self.n_instances < 1:
             raise InvalidConfigError(f"n_instances must be >= 1, got {self.n_instances}")
-        if not self.source_scale > 0.0:
-            raise InvalidConfigError(
-                f"source_scale must be positive, got {self.source_scale}"
-            )
         if not self.thresholds or any(not t > 0.0 for t in self.thresholds):
             raise InvalidConfigError(f"thresholds must be positive, got {self.thresholds}")
-        if self.scale_grid is not None and any(not s > 0.0 for s in self.scale_grid):
+        if not self.scale_grid or any(not s > 0.0 for s in self.scale_grid):
             raise InvalidConfigError(f"scales must be positive, got {self.scale_grid}")
-
-    def scales(self) -> tuple[float, ...]:
-        return self.scale_grid if self.scale_grid else (self.source_scale,)
 
 
 @dataclass(frozen=True)
@@ -87,7 +76,7 @@ class InstanceResult:
     error: str | None
     rel_error: float | None
     success_at: tuple[bool, ...]  # aligned with the thresholds tuple
-    failure_cause: FailureCause | None
+    failure_causes: tuple[FailureCause | None, ...]  # None where success_at is True
 
 
 @dataclass(frozen=True)
@@ -144,40 +133,40 @@ def sample_scenario(
 
 
 def run_instance(scenario: Scenario, thresholds) -> InstanceResult:
-    """Forward-model, solve, and score one scenario against the thresholds."""
+    """Forward-model, solve, and score one scenario against the thresholds.
+
+    A failure at threshold T is a wrong root when a candidate other than the
+    estimate lies within T of truth, and a numerical error otherwise.
+    """
     thresholds = tuple(float(t) for t in thresholds)
     deltas = range_differences(scenario)
-    solver = solve_five_sensor if scenario.sensors.n_sensors == 5 else solve_four_sensor
     try:
-        estimate = solver(scenario.sensors, deltas)
-    except (SingularMatrixError, DegenerateDeltasError) as err:
-        return InstanceResult(
-            scenario, None, str(err), None,
-            (False,) * len(thresholds), FailureCause.SINGULAR_GEOMETRY,
-        )
+        estimate = localize(scenario.sensors, deltas)
     except LocalizationError as err:
-        return InstanceResult(
-            scenario, None, str(err), None,
-            (False,) * len(thresholds), FailureCause.NUMERICAL_ERROR,
-        )
+        if isinstance(err, (SingularMatrixError, DegenerateDeltasError)):
+            cause = FailureCause.SINGULAR_GEOMETRY
+        else:
+            cause = FailureCause.NUMERICAL_ERROR
+        n = len(thresholds)
+        return InstanceResult(scenario, None, str(err), None, (False,) * n, (cause,) * n)
 
     truth = scenario.source
     truth_norm = float(np.linalg.norm(truth))
     rel_error = _rel_error(estimate.position, truth, truth_norm)
     success = tuple(rel_error < t for t in thresholds)
 
-    cause = None
+    losing = math.inf
     if not all(success):
-        cause = FailureCause.NUMERICAL_ERROR
-        if estimate.method is Method.FOUR_SENSOR:
-            tightest = min(thresholds)
-            for cand in estimate.candidates:
-                if np.array_equal(cand.position, estimate.position):
-                    continue
-                if _rel_error(cand.position, truth, truth_norm) < tightest:
-                    cause = FailureCause.WRONG_ROOT
-                    break
-    return InstanceResult(scenario, estimate, None, rel_error, success, cause)
+        for cand in estimate.candidates:
+            if not np.array_equal(cand.position, estimate.position):
+                losing = min(losing, _rel_error(cand.position, truth, truth_norm))
+    causes = tuple(
+        None if ok
+        else FailureCause.WRONG_ROOT if losing < t
+        else FailureCause.NUMERICAL_ERROR
+        for ok, t in zip(success, thresholds)
+    )
+    return InstanceResult(scenario, estimate, None, rel_error, success, causes)
 
 
 def _rel_error(position: np.ndarray, truth: np.ndarray, truth_norm: float) -> float:
@@ -187,46 +176,33 @@ def _rel_error(position: np.ndarray, truth: np.ndarray, truth_norm: float) -> fl
     return 0.0 if err == 0.0 else math.inf
 
 
-def run_sweep(config: ExperimentConfig, n_jobs: int = 1) -> SweepSummary:
+def run_sweep(config: ExperimentConfig) -> SweepSummary:
     """Run every (scale, instance) cell of the sweep and aggregate.
 
-    Instances are independent; with ``n_jobs > 1`` they execute on a thread
-    pool. Per-instance seeding plus index-ordered aggregation makes the
-    summary a pure function of the config, whatever the parallelism.
+    Each scale's outcomes are tallied per threshold as the instances run, so
+    no per-instance result outlives its own scoring.
     """
-    scales = config.scales()
-    jobs = [(si, ii) for si in range(len(scales)) for ii in range(config.n_instances)]
-
-    def work(job: tuple[int, int]) -> InstanceResult:
-        si, ii = job
-        rng = instance_rng(config.seed, si, ii)
-        scenario = sample_scenario(rng, config.n_sensors, scales[si])
-        return run_instance(scenario, config.thresholds)
-
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(work, jobs))
-    else:
-        results = [work(job) for job in jobs]
-
-    cells = []
     n = config.n_instances
-    for si, scale in enumerate(scales):
-        chunk = results[si * n : (si + 1) * n]
-        for ti, threshold in enumerate(config.thresholds):
-            failures = [r for r in chunk if not r.success_at[ti]]
-            counts = {cause: 0 for cause in FailureCause}
-            for r in failures:
-                counts[r.failure_cause] += 1
+    cells = []
+    for si, scale in enumerate(config.scale_grid):
+        tallies = [Counter() for _ in config.thresholds]
+        for ii in range(n):
+            scenario = sample_scenario(
+                instance_rng(config.seed, si, ii), config.n_sensors, scale
+            )
+            result = run_instance(scenario, config.thresholds)
+            for tally, cause in zip(tallies, result.failure_causes):
+                tally[cause] += 1
+        for threshold, tally in zip(config.thresholds, tallies):
             cells.append(
                 SweepCell(
                     n_sensors=config.n_sensors,
-                    source_scale=float(scale),
-                    threshold=float(threshold),
-                    success_fraction=(n - len(failures)) / n,
-                    n_singular=counts[FailureCause.SINGULAR_GEOMETRY],
-                    n_wrong_root=counts[FailureCause.WRONG_ROOT],
-                    n_numerical=counts[FailureCause.NUMERICAL_ERROR],
+                    source_scale=scale,
+                    threshold=threshold,
+                    success_fraction=tally[None] / n,
+                    n_singular=tally[FailureCause.SINGULAR_GEOMETRY],
+                    n_wrong_root=tally[FailureCause.WRONG_ROOT],
+                    n_numerical=tally[FailureCause.NUMERICAL_ERROR],
                     n_instances=n,
                 )
             )

@@ -47,7 +47,7 @@ class FiveSensorSystem:
     scaled_rows: tuple[bool, bool, bool]  # True where the cleared form was used
 
 
-def pairing_fallbacks() -> tuple[tuple[tuple[int, int], ...], ...]:
+def _chain_pairings() -> tuple[tuple[tuple[int, int], ...], ...]:
     """Candidate pairing sets: chains over the non-reference sensors.
 
     The default chain first, then its rotations and reversals. Any of these
@@ -55,17 +55,16 @@ def pairing_fallbacks() -> tuple[tuple[tuple[int, int], ...], ...]:
     particular pairing has two vanishing range differences.
     """
     base = (1, 2, 3, 4)
-    chains = []
+    sets = []
     for start in range(4):
         rot = base[start:] + base[:start]
-        chains.append(rot)
-        chains.append(rot[::-1])
-    seen = []
-    for chain in chains:
-        pairing = tuple((chain[i + 1], chain[i]) for i in range(3))
-        if pairing not in seen:
-            seen.append(pairing)
-    return tuple(seen)
+        for chain in (rot, rot[::-1]):
+            sets.append(tuple((chain[i + 1], chain[i]) for i in range(3)))
+    return tuple(sets)
+
+
+# Pairing sets in the order they are tried; the first is DEFAULT_PAIRINGS.
+PAIRING_FALLBACKS = _chain_pairings()
 
 
 def _build(rel: ReferencedArray, d: np.ndarray, pairings, row_form: str):
@@ -105,19 +104,42 @@ def _build(rel: ReferencedArray, d: np.ndarray, pairings, row_form: str):
     )
 
 
+def _pairing_systems(rel: ReferencedArray, d: np.ndarray, row_form: str):
+    """Yield ``(attempt, system)`` for each pairing set of PAIRING_FALLBACKS
+    that is not degenerate, where ``attempt`` is the set's index.
+
+    Raises:
+        DegenerateDeltasError: if every pairing set is degenerate.
+    """
+    found = False
+    last_err = None
+    for attempt, pairings in enumerate(PAIRING_FALLBACKS):
+        try:
+            system = _build(rel, d, pairings, row_form)
+        except DegenerateDeltasError as err:
+            last_err = err
+            continue
+        found = True
+        yield attempt, system
+    if not found:
+        raise DegenerateDeltasError(
+            "no sensor pairing yields a nonzero equation; the source is on a "
+            "multi-sensor symmetry locus"
+        ) from last_err
+
+
 def build_five_sensor_system(
     rel: ReferencedArray,
     deltas: RangeDifferences,
-    pairings: tuple[tuple[int, int], ...] | None = None,
     row_form: str = "auto",
 ) -> FiveSensorSystem:
     """Assemble the 3x3 linear system for the source position.
 
-    With ``pairings=None`` the default pairing set is tried first and rotated
-    alternatives are used if a pairing carries two vanishing range
-    differences. ``row_form`` forces ``"literal"`` or ``"cleared"`` rows for
-    both algebraically identical forms (testing hook); ``"auto"`` picks per
-    row based on the range-difference magnitudes.
+    The default pairing set is tried first and rotated alternatives are used
+    if a pairing carries two vanishing range differences. ``row_form`` forces
+    ``"literal"`` or ``"cleared"`` rows for both algebraically identical forms
+    (testing hook); ``"auto"`` picks per row based on the range-difference
+    magnitudes.
 
     Raises:
         DegenerateDeltasError: if no pairing set yields three informative rows.
@@ -127,19 +149,8 @@ def build_five_sensor_system(
     deltas = as_range_differences(deltas)
     if rel.rel_positions.shape[0] != 5 or deltas.n_sensors != 5:
         raise ValueError("five-sensor build needs 5 sensors and 4 range differences")
-    d = deltas.deltas
-    if pairings is not None:
-        return _build(rel, d, pairings, row_form)
-    last_err = None
-    for candidate in pairing_fallbacks():
-        try:
-            return _build(rel, d, candidate, row_form)
-        except DegenerateDeltasError as err:
-            last_err = err
-    raise DegenerateDeltasError(
-        "no sensor pairing yields a nonzero equation; the source is on a "
-        "multi-sensor symmetry locus"
-    ) from last_err
+    _, system = next(_pairing_systems(rel, deltas.deltas, row_form))
+    return system
 
 
 def solve_five_sensor(sensors: SensorArray, deltas) -> LocalizationResult:
@@ -159,14 +170,8 @@ def solve_five_sensor(sensors: SensorArray, deltas) -> LocalizationResult:
         raise ValueError("five-sensor solve needs 5 sensors and 4 range differences")
     rel = reference_frame(sensors)
 
-    degenerate_err = None
     singular_err = None
-    for attempt, pairings in enumerate(pairing_fallbacks()):
-        try:
-            system = _build(rel, deltas.deltas, pairings, "auto")
-        except DegenerateDeltasError as err:
-            degenerate_err = err
-            continue
+    for attempt, system in _pairing_systems(rel, deltas.deltas, "auto"):
         try:
             ref_position, pivots = solve3_pivoted(system.matrix, system.rhs)
         except SingularMatrixError as err:
@@ -185,8 +190,6 @@ def solve_five_sensor(sensors: SensorArray, deltas) -> LocalizationResult:
                 "pairing_retries": attempt,
             },
         )
-    if singular_err is not None:
-        raise SingularMatrixError(
-            f"five-sensor position system is singular for every pairing set: {singular_err}"
-        ) from singular_err
-    raise degenerate_err
+    raise SingularMatrixError(
+        f"five-sensor position system is singular for every pairing set: {singular_err}"
+    ) from singular_err

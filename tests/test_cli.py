@@ -1,6 +1,8 @@
+import hashlib
 import json
 
 import numpy as np
+import pytest
 
 from tdoaloc import ExperimentConfig, run_sweep
 from tdoaloc.cli import (
@@ -108,6 +110,28 @@ def test_locate_inconsistent_deltas_no_real_solution(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"sensors": CANONICAL_5["sensors"], "times": [0.0, 1e-3, 2e-3, 3e-3, 4e-3], "c": "abc"},
+        {"sensors": CANONICAL_5["sensors"], "times": [0.0, 1e-3, 2e-3, 3e-3, 4e-3], "c": None},
+        {"sensors": CANONICAL_5["sensors"], "times": [0.0, 1e-3, 2e-3, 3e-3, 4e-3], "c": True},
+        {**CANONICAL_5, "c": float("inf")},  # written as 1e400, read back as inf
+        {"sensors": CANONICAL_5["sensors"], "source": [1e300, 1e300, 1e300]},
+        {"sensors": CANONICAL_5["sensors"], "source": [1, 1, 1]},  # on sensor 4
+    ],
+    ids=["c_text", "c_null", "c_bool", "c_infinite", "source_overflows", "source_on_sensor"],
+)
+def test_locate_bad_document_parse_error(tmp_path, capsys, doc):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc).replace("Infinity", "1e400"))
+    assert main(["locate", str(path)]) == EXIT_PARSE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 def test_locate_missing_file(capsys):
     assert main(["locate", "/no/such/file.json"]) == EXIT_PARSE_ERROR
     capsys.readouterr()
@@ -195,14 +219,21 @@ def test_sweep_invalid_configs(capsys):
     capsys.readouterr()
 
 
-def test_sweep_parallel_flag_matches_serial(capsys):
-    args = ["sweep", "--sensors", "4", "--instances", "15", "--seed", "5",
-            "--scales", "1.0"]
-    assert main(args + ["--jobs", "1"]) == EXIT_OK
-    out1 = capsys.readouterr().out
-    assert main(args + ["--jobs", "3"]) == EXIT_OK
-    out3 = capsys.readouterr().out
-    assert out1 == out3
+# SHA-256 of `tdoaloc sweep --sensors N --instances 50 --seed 20260809` on the
+# default grid and thresholds. Refactors must leave the sweep CSV bit-identical.
+SWEEP_DIGESTS = {
+    4: "136f1e8695aabffe5aee0cadc8d07a396d64c83dc9f0490078627caec8657d31",
+    5: "11caf609ffaa8c069a9af13d2dc8a3803cc15af99001243864e8fbcd9f1ceed4",
+}
+
+
+@pytest.mark.parametrize("n_sensors", sorted(SWEEP_DIGESTS))
+def test_sweep_csv_golden_digest(capsys, n_sensors):
+    argv = ["sweep", "--sensors", str(n_sensors), "--instances", "50", "--seed", "20260809"]
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == SWEEP_DIGESTS[n_sensors], f"sweep CSV changed:\n{out}"
 
 
 def test_gen_roundtrip_through_locate(tmp_path, capsys):

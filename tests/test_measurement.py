@@ -193,7 +193,8 @@ def test_scenario_document_roundtrip(tmp_path):
     arr = SensorArray(CANONICAL_SENSORS_5)
     sc = Scenario(sensors=arr, source=CANONICAL_SOURCE)
     path = tmp_path / "canonical.json"
-    write_scenario(path, sc)
+    with open(path, "w") as out:
+        write_scenario(out, sc)
     doc = load_scenario(path)
     np.testing.assert_array_equal(doc.sensors.positions, arr.positions)
     np.testing.assert_array_equal(doc.source, [2.0, 3.0, 4.0])

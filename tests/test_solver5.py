@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tdoaloc import (
+    PAIRING_FALLBACKS,
     AmbiguityResolution,
     DegenerateDeltasError,
     Method,
@@ -9,7 +10,6 @@ from tdoaloc import (
     SensorArray,
     SingularMatrixError,
     build_five_sensor_system,
-    pairing_fallbacks,
     range_differences,
     reference_frame,
     solve_five_sensor,
@@ -162,7 +162,7 @@ def test_rigid_motion_equivariance():
 
 
 def test_pairing_fallbacks_structure():
-    sets = pairing_fallbacks()
+    sets = PAIRING_FALLBACKS
     assert sets[0] == DEFAULT_PAIRINGS
     assert len(sets) == len(set(sets)) == 8
     for pairing in sets:
