@@ -17,7 +17,7 @@ from .errors import (
     ScenarioFormatError,
     SingularMatrixError,
 )
-from .geom3 import Vec3, solve3_pivoted
+from .geom3 import solve3_pivoted
 from .locate import localize
 from .measurement import (
     SPEED_OF_LIGHT,
@@ -32,7 +32,6 @@ from .measurement import (
     load_scenario,
     range_differences,
     reference_frame,
-    tdoa_to_range_diff,
     true_ranges,
     unreference,
     write_scenario,
@@ -103,7 +102,6 @@ __all__ = [
     "SingularMatrixError",
     "SweepCell",
     "SweepSummary",
-    "Vec3",
     "arrival_times_to_range_diffs",
     "as_range_differences",
     "build_five_sensor_system",
@@ -123,7 +121,6 @@ __all__ = [
     "solve_four_sensor",
     "solve_five_sensor",
     "solve_reference_range",
-    "tdoa_to_range_diff",
     "true_ranges",
     "unreference",
     "write_scenario",

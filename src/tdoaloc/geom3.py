@@ -13,8 +13,6 @@ from .errors import SingularMatrixError
 # Relative pivot threshold separating true rank deficiency from round-off.
 EPS_RANK = 1e-12
 
-Vec3 = np.ndarray
-
 
 def solve3_pivoted(matrix, rhs) -> tuple[np.ndarray, tuple[float, float, float]]:
     """Solve a 3x3 linear system, returning the solution and pivot magnitudes.

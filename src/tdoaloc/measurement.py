@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ScenarioFormatError
-from .geom3 import Vec3
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, default propagation speed
 
@@ -156,20 +155,21 @@ def range_differences(scenario: Scenario) -> RangeDifferences:
     return RangeDifferences(deltas=rho[1:] - rho[0])
 
 
-def tdoa_to_range_diff(dt: float, c: float = SPEED_OF_LIGHT) -> float:
-    """Convert an arrival-time difference (s) to a range difference (m)."""
+def arrival_times_to_range_diffs(times, c: float = SPEED_OF_LIGHT) -> np.ndarray:
+    """Convert absolute arrival times (s, reference first) to range
+    differences (m) at propagation speed ``c`` (m/s).
+
+    A product beyond the float range is inf, as in Python float arithmetic,
+    without a numpy warning; ``RangeDifferences`` rejects it.
+    """
     if not c > 0.0:
         raise ValueError(f"propagation speed must be positive, got {c}")
-    return c * dt
-
-
-def arrival_times_to_range_diffs(times, c: float = SPEED_OF_LIGHT) -> np.ndarray:
-    """Convert absolute arrival times (s, reference first) to range diffs."""
     t = np.asarray(times, dtype=float)
-    return np.array([tdoa_to_range_diff(float(tk - t[0]), c) for tk in t[1:]])
+    with np.errstate(over="ignore"):
+        return c * (t[1:] - t[0])
 
 
-def unreference(position, origin) -> Vec3:
+def unreference(position, origin) -> np.ndarray:
     """Map a reference-frame position back to absolute coordinates."""
     return np.asarray(position, dtype=float) + np.asarray(origin, dtype=float)
 
@@ -199,6 +199,16 @@ class ScenarioDocument:
     c: float = SPEED_OF_LIGHT
 
 
+def _reject_bools(value, name: str) -> None:
+    """Reject a JSON boolean in a number list or a list of number lists,
+    which numpy would read as 0 or 1; deeper nesting fails the shape checks.
+    A flat scan by identity: ``load_scenario`` runs it on every document."""
+    for item in value if type(value) is list else (value,):
+        for v in item if type(item) is list else (item,):
+            if v is True or v is False:
+                raise ValueError(f"'{name}' must hold numbers, got {json.dumps(v)}")
+
+
 def load_scenario(path) -> ScenarioDocument:
     """Parse and validate a scenario document.
 
@@ -226,6 +236,7 @@ def load_scenario(path) -> ScenarioDocument:
         )
 
     try:
+        _reject_bools(raw["sensors"], "sensors")
         sensors = SensorArray(np.asarray(raw["sensors"], dtype=float))
     except (TypeError, ValueError) as err:
         raise ScenarioFormatError(f"bad sensor list: {err}") from err
@@ -240,6 +251,7 @@ def load_scenario(path) -> ScenarioDocument:
         c = float(raw_c)
         if not 0.0 < c < math.inf:
             raise ValueError(f"propagation speed must be positive and finite, got {c}")
+        _reject_bools(raw[given[0]], given[0])
         if "source" in raw:
             source = np.asarray(raw["source"], dtype=float)
             if source.shape != (3,) or not np.all(np.isfinite(source)):

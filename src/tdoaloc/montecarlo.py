@@ -11,6 +11,16 @@ error.
 Instances are seeded independently via a splittable hash of
 (seed, scale index, instance index), so sweeps are reproducible bit-for-bit
 regardless of the order in which instances are run.
+
+``run_sweep`` runs each scale in batches of up to ``BATCH_ROWS`` instances:
+the private ``_batch`` module samples, solves and scores a batch's instances
+as numpy array rows, with the same floating-point operations as
+``run_instance``. Rows it cannot prove generic (a rejected draw, a singular
+pivot, a tangent or clamped root, a linear fallback, a cleared row or
+pairing retry, ...) are rerun one by one through ``sample_scenario`` and
+``run_instance``, so every edge case has one implementation and the tallies
+equal a one-by-one pass bit for bit. The scalar functions stay the API for
+single instances.
 """
 
 from __future__ import annotations
@@ -36,6 +46,9 @@ from .result import LocalizationResult
 DEFAULT_THRESHOLDS = (1e-6, 1e-3)
 DEFAULT_SCALE_GRID = tuple(float(s) for s in np.logspace(-6.0, 0.0, 13))
 MAX_SAMPLE_ATTEMPTS = 100
+# Instances per batch in run_sweep: large enough that numpy's per-call cost
+# is small per row, small enough that a batch's arrays stay near a megabyte.
+BATCH_ROWS = 1024
 
 
 class FailureCause(Enum):
@@ -179,20 +192,45 @@ def _rel_error(position: np.ndarray, truth: np.ndarray, truth_norm: float) -> fl
 def run_sweep(config: ExperimentConfig) -> SweepSummary:
     """Run every (scale, instance) cell of the sweep and aggregate.
 
-    Each scale's outcomes are tallied per threshold as the instances run, so
-    no per-instance result outlives its own scoring.
+    Each scale runs in batches of up to BATCH_ROWS instances
+    (``_batch.solve_scale``) over the first draws of their generators; the
+    rows a batch cannot prove generic are rerun one by one through
+    ``sample_scenario`` and ``run_instance``. The tallies equal a one-by-one
+    pass bit for bit, and memory does not grow with ``n_instances``.
     """
+    # Imported here, not at module level, so that importing the package for
+    # single solves (``tdoaloc locate``) does not load the batch code.
+    from . import _batch
+
     n = config.n_instances
+    width = 3 * config.n_sensors + 3
     cells = []
     for si, scale in enumerate(config.scale_grid):
         tallies = [Counter() for _ in config.thresholds]
-        for ii in range(n):
-            scenario = sample_scenario(
-                instance_rng(config.seed, si, ii), config.n_sensors, scale
+        for first in range(0, n, BATCH_ROWS):
+            rows = range(first, min(first + BATCH_ROWS, n))
+            draws = np.empty((len(rows), width))
+            for k, ii in enumerate(rows):
+                instance_rng(config.seed, si, ii).random(out=draws[k])
+            generic, _, rel_error, losing = _batch.solve_scale(
+                draws, config.n_sensors, scale
             )
-            result = run_instance(scenario, config.thresholds)
-            for tally, cause in zip(tallies, result.failure_causes):
-                tally[cause] += 1
+            # run_instance's causes, counted over the generic rows.
+            for tally, t in zip(tallies, config.thresholds):
+                ok = rel_error < t
+                wrong = ~ok & (losing < t)
+                tally[None] += int(np.count_nonzero(generic & ok))
+                tally[FailureCause.WRONG_ROOT] += int(np.count_nonzero(generic & wrong))
+                tally[FailureCause.NUMERICAL_ERROR] += int(
+                    np.count_nonzero(generic & ~ok & ~wrong)
+                )
+            for k in np.flatnonzero(~generic).tolist():
+                scenario = sample_scenario(
+                    instance_rng(config.seed, si, rows[k]), config.n_sensors, scale
+                )
+                result = run_instance(scenario, config.thresholds)
+                for tally, cause in zip(tallies, result.failure_causes):
+                    tally[cause] += 1
         for threshold, tally in zip(config.thresholds, tallies):
             cells.append(
                 SweepCell(

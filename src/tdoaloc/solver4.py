@@ -32,7 +32,7 @@ from .measurement import (
     reference_frame,
     unreference,
 )
-from .geom3 import Vec3, solve3_pivoted
+from .geom3 import solve3_pivoted
 from .result import AmbiguityResolution, Candidate, LocalizationResult, Method
 
 # Tolerances separating analytic degeneracy from round-off. EPS_LIN detects a
@@ -180,7 +180,7 @@ def solve_reference_range(system: FourSensorSystem) -> QuadraticRoots:
 
 def candidate_positions(
     system: FourSensorSystem, roots: QuadraticRoots, origin
-) -> list[tuple[float, Vec3]]:
+) -> list[tuple[float, np.ndarray]]:
     """Map retained range roots to absolute candidate positions."""
     return [
         (rho, unreference(rho * system.slope - system.offset, origin))
@@ -189,7 +189,7 @@ def candidate_positions(
 
 
 def resolve_ambiguity(
-    candidates: list[tuple[float, Vec3]],
+    candidates: list[tuple[float, np.ndarray]],
     rel: ReferencedArray,
     deltas: RangeDifferences,
 ) -> LocalizationResult:

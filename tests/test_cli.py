@@ -120,8 +120,17 @@ def test_locate_inconsistent_deltas_no_real_solution(tmp_path, capsys):
         {**CANONICAL_5, "c": float("inf")},  # written as 1e400, read back as inf
         {"sensors": CANONICAL_5["sensors"], "source": [1e300, 1e300, 1e300]},
         {"sensors": CANONICAL_5["sensors"], "source": [1, 1, 1]},  # on sensor 4
+        {"sensors": CANONICAL_5["sensors"], "source": [True, 0.2, 0.3]},
+        {"sensors": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [True, 1, 2]],
+         "source": [2, 3, 4]},
+        {"sensors": CANONICAL_5["sensors"], "deltas": [0.1, False, 0.2, 0.3]},
+        {"sensors": CANONICAL_5["sensors"], "times": [0.0, 1e-3, True, 3e-3, 4e-3]},
+        {"sensors": CANONICAL_5["sensors"], "times": [0.0, 1e300, 2e-3, 3e-3, 4e-3]},
     ],
-    ids=["c_text", "c_null", "c_bool", "c_infinite", "source_overflows", "source_on_sensor"],
+    ids=[
+        "c_text", "c_null", "c_bool", "c_infinite", "source_overflows", "source_on_sensor",
+        "source_bool", "sensors_bool", "deltas_bool", "times_bool", "times_overflow",
+    ],
 )
 def test_locate_bad_document_parse_error(tmp_path, capsys, doc):
     path = tmp_path / "scenario.json"

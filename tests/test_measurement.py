@@ -15,7 +15,6 @@ from tdoaloc import (
     load_scenario,
     range_differences,
     reference_frame,
-    tdoa_to_range_diff,
     true_ranges,
     unreference,
     write_scenario,
@@ -93,25 +92,37 @@ def test_range_differences_canonical_frozen():
 
 
 def test_tdoa_to_range_diff():
-    assert tdoa_to_range_diff(0.0) == 0.0
-    assert tdoa_to_range_diff(1.0) == 299_792_458.0
-    assert tdoa_to_range_diff(-1e-6, c=343.0) == pytest.approx(-3.43e-4, rel=1e-12)
-    with pytest.raises(ValueError):
-        tdoa_to_range_diff(1.0, c=0.0)
+    # One arrival-time difference per non-reference sensor, scaled by c.
+    def one(dt, **kw):
+        (d,) = arrival_times_to_range_diffs([0.0, dt], **kw)
+        return d
+
+    assert one(0.0) == 0.0
+    assert one(1.0) == 299_792_458.0
+    assert one(-1e-6, c=343.0) == pytest.approx(-3.43e-4, rel=1e-12)
+    for c in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            arrival_times_to_range_diffs([0.0, 1.0], c=c)
+    # Same IEEE operations as the per-element c * (t_k - t_0).
+    t = np.array([0.25, -1e-3, 7e-4, 3.3e-3])
+    expected = [343.0 * float(tk - t[0]) for tk in t[1:]]
+    assert arrival_times_to_range_diffs(t, c=343.0).tolist() == expected
 
 
 def test_tdoa_linearity_exact():
     # Power-of-two scalings are exact in binary floating point, so linearity
     # holds bit-for-bit there; arbitrary factors hold to 1 ulp.
     rng = np.random.default_rng(9)
+
+    def one(dt):
+        return arrival_times_to_range_diffs([0.0, dt], c=343.0)[0]
+
     for _ in range(100):
         dt = rng.uniform(-1e-3, 1e-3)
         a = 2.0 ** rng.integers(-3, 4)
-        assert tdoa_to_range_diff(a * dt, c=343.0) == a * tdoa_to_range_diff(dt, c=343.0)
+        assert one(a * dt) == a * one(dt)
         b = float(rng.integers(1, 9))
-        assert tdoa_to_range_diff(b * dt, c=343.0) == pytest.approx(
-            b * tdoa_to_range_diff(dt, c=343.0), rel=1e-15
-        )
+        assert one(b * dt) == pytest.approx(b * one(dt), rel=1e-15)
 
 
 def test_unreference():
