@@ -29,7 +29,7 @@ def solve3_pivoted(matrix, rhs) -> tuple[np.ndarray, tuple[float, float, float]]
     Raises:
         SingularMatrixError: if any elimination pivot falls below
             ``EPS_RANK`` times the largest entry magnitude of the matrix,
-            i.e. the system is numerically rank-deficient.
+            i.e. the system is numerically rank-deficient, or is NaN.
     """
     m = np.asarray(matrix, dtype=float)
     v = np.asarray(rhs, dtype=float)
@@ -42,16 +42,17 @@ def solve3_pivoted(matrix, rhs) -> tuple[np.ndarray, tuple[float, float, float]]
 
     a = m.tolist()
     cols = [v.tolist()] if v.ndim == 1 else v.T.tolist()
-    scale = max(abs(e) for row in a for e in row)
+    scale = max(map(abs, a[0] + a[1] + a[2]))
     if scale == 0.0:
         raise SingularMatrixError("all-zero system matrix (rank 0)")
     tol = EPS_RANK * scale
 
     pivots = []
     for col in range(3):
-        p = max(range(col, 3), key=lambda r: abs(a[r][col]))
+        column = [abs(row[col]) for row in a[col:]]
+        p = col + column.index(max(column))  # the first largest, as max() picks
         piv = a[p][col]
-        if abs(piv) < tol:
+        if not abs(piv) >= tol:  # a NaN pivot fails too
             raise SingularMatrixError(
                 f"elimination pivot {abs(piv):.3e} below {tol:.3e} "
                 f"(rank-deficient system)"
@@ -77,4 +78,3 @@ def solve3_pivoted(matrix, rhs) -> tuple[np.ndarray, tuple[float, float, float]]
         xs.append((x0, x1, x2))
     x = np.array(xs[0]) if v.ndim == 1 else np.array(xs).T
     return x, (pivots[0], pivots[1], pivots[2])
-

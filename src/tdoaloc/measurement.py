@@ -40,6 +40,36 @@ def _as_positions(positions, name: str) -> np.ndarray:
     return pos
 
 
+def _squared_distances(rows, point) -> list[float]:
+    """Squared distance from ``point`` to each row on Python floats, summed
+    ``(x + y) + z`` as ``np.sum`` sums three entries: bit-identical to it."""
+    px, py, pz = point
+    return [((x - px) * (x - px) + (y - py) * (y - py)) + (z - pz) * (z - pz)
+            for x, y, z in rows]
+
+
+def _check_array(rows) -> None:
+    if len(rows) not in (4, 5):
+        raise ValueError(f"need exactly 4 or 5 sensors, got {len(rows)}")
+    for i in range(len(rows) - 1):
+        if min(_squared_distances(rows[i + 1:], rows[i])) <= EPS_SEP * EPS_SEP:
+            raise ValueError(f"sensors closer than {EPS_SEP} m make the geometry singular")
+
+
+def _set(record, **fields):
+    """Set the checked ``fields`` of the frozen ``record``, arrays read-only."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(record, name, value)
+    return record
+
+
+def _record(cls, **fields):
+    """A ``cls`` record of already-checked fields: ``__post_init__`` does not run."""
+    return _set(object.__new__(cls), **fields)
+
+
 @dataclass(frozen=True)
 class SensorArray:
     """Ordered absolute sensor positions; index 0 is the reference sensor."""
@@ -48,17 +78,8 @@ class SensorArray:
 
     def __post_init__(self):
         pos = _as_positions(self.positions, "sensor positions")
-        n = pos.shape[0]
-        if n not in (4, 5):
-            raise ValueError(f"need exactly 4 or 5 sensors, got {n}")
-        diff = pos[:, None, :] - pos[None, :, :]
-        d2 = np.sum(diff * diff, axis=-1)
-        if float(np.min(d2[_SENSOR_PAIRS[n]])) <= EPS_SEP * EPS_SEP:
-            raise ValueError(
-                f"sensors closer than {EPS_SEP} m make the geometry singular"
-            )
-        pos.setflags(write=False)
-        object.__setattr__(self, "positions", pos)
+        _check_array(pos.tolist())
+        _set(self, positions=pos)
 
     @property
     def n_sensors(self) -> int:
@@ -76,11 +97,7 @@ class ReferencedArray:
         rel = _as_positions(self.rel_positions, "relative positions")
         if np.any(rel[0] != 0.0):
             raise ValueError("relative positions must place the reference at zero")
-        origin = np.asarray(self.origin, dtype=float)
-        rel.setflags(write=False)
-        origin.setflags(write=False)
-        object.__setattr__(self, "rel_positions", rel)
-        object.__setattr__(self, "origin", origin)
+        _set(self, rel_positions=rel, origin=np.asarray(self.origin, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -95,15 +112,14 @@ class RangeDifferences:
     deltas: np.ndarray  # (n_sensors - 1,), meters
 
     def __post_init__(self):
-        d = np.atleast_1d(np.asarray(self.deltas, dtype=float))
+        d = np.asarray(self.deltas, dtype=float)
         if d.ndim != 1 or d.shape[0] not in (3, 4):
             raise ValueError(
                 f"need 3 or 4 range differences (4- or 5-sensor array), got shape {d.shape}"
             )
-        if not np.all(np.isfinite(d)):
+        if not all(map(math.isfinite, d.tolist())):
             raise ValueError("range differences must be finite")
-        d.setflags(write=False)
-        object.__setattr__(self, "deltas", d)
+        _set(self, deltas=d)
 
     @property
     def n_sensors(self) -> int:
@@ -130,43 +146,41 @@ class Scenario:
             raise ValueError(f"source must be a 3-vector, got shape {src.shape}")
         if not np.all(np.isfinite(src)):
             raise ValueError("source position must be finite")
-        gap = self.sensors.positions - src
-        if float(np.min(np.sum(gap * gap, axis=1))) <= EPS_SEP * EPS_SEP:
-            raise ValueError("source coincides with a sensor position")
-        src.setflags(write=False)
-        object.__setattr__(self, "source", src)
+        _check_clearance(self.sensors, src.tolist())
+        _set(self, source=src)
+
+
+def _check_clearance(sensors: SensorArray, source) -> None:
+    if min(_squared_distances(sensors.positions.tolist(), source)) <= EPS_SEP * EPS_SEP:
+        raise ValueError("source coincides with a sensor position")
 
 
 def reference_frame(sensors: SensorArray) -> ReferencedArray:
     """Rebase the array on its reference sensor (sensor 0 at the origin)."""
     origin = sensors.positions[0].copy()
-    return ReferencedArray(rel_positions=sensors.positions - origin, origin=origin)
+    return _record(ReferencedArray, rel_positions=sensors.positions - origin, origin=origin)
 
 
 def true_ranges(scenario: Scenario) -> np.ndarray:
     """Distances (m) from the source to every sensor, reference first."""
-    diff = scenario.sensors.positions - scenario.source
-    return np.sqrt(np.sum(diff * diff, axis=1))
+    pos = scenario.sensors.positions.tolist()
+    return np.sqrt(_squared_distances(pos, scenario.source.tolist()))
 
 
 def range_differences(scenario: Scenario) -> RangeDifferences:
     """Noise-free forward model: range differences against the reference."""
-    rho = true_ranges(scenario)
-    return RangeDifferences(deltas=rho[1:] - rho[0])
+    rho = true_ranges(scenario).tolist()
+    return RangeDifferences(deltas=np.array([r - rho[0] for r in rho[1:]]))
 
 
 def arrival_times_to_range_diffs(times, c: float = SPEED_OF_LIGHT) -> np.ndarray:
     """Convert absolute arrival times (s, reference first) to range
-    differences (m) at propagation speed ``c`` (m/s).
-
-    A product beyond the float range is inf, as in Python float arithmetic,
-    without a numpy warning; ``RangeDifferences`` rejects it.
-    """
+    differences (m) at propagation speed ``c`` (m/s). A product beyond the
+    float range is inf, without a warning; ``RangeDifferences`` rejects it."""
     if not c > 0.0:
         raise ValueError(f"propagation speed must be positive, got {c}")
-    t = np.asarray(times, dtype=float)
-    with np.errstate(over="ignore"):
-        return c * (t[1:] - t[0])
+    t = np.asarray(times, dtype=float).tolist()
+    return np.array([c * (v - t[0]) for v in t[1:]])
 
 
 def unreference(position, origin) -> np.ndarray:
@@ -199,26 +213,38 @@ class ScenarioDocument:
     c: float = SPEED_OF_LIGHT
 
 
-def _reject_bools(value, name: str) -> None:
-    """Reject a JSON boolean in a number list or a list of number lists,
-    which numpy would read as 0 or 1; deeper nesting fails the shape checks.
-    A flat scan by identity: ``load_scenario`` runs it on every document."""
-    for item in value if type(value) is list else (value,):
-        for v in item if type(item) is list else (item,):
-            if v is True or v is False:
-                raise ValueError(f"'{name}' must hold numbers, got {json.dumps(v)}")
+def _numbers(values, count: int, name: str) -> list[float]:
+    """The JSON list of ``count`` numbers ``values`` as floats. Each must be
+    an int or a float, not a bool (an int to Python) or a string, and finite:
+    an int beyond the float range is rejected, not raised as OverflowError."""
+    if type(values) is not list or len(values) != count:
+        got = len(values) if type(values) is list else json.dumps(values)
+        raise ValueError(f"{name} must be a list of {count} numbers, got {got}")
+    floats = []
+    for v in values:
+        if type(v) is not float and type(v) is not int:
+            raise ValueError(f"{name} must hold numbers, got {json.dumps(v)}")
+        try:
+            floats.append(float(v))
+        except OverflowError:
+            floats.append(math.inf)
+    if not all(map(math.isfinite, floats)):
+        raise ValueError(f"{name} must hold finite numbers")
+    return floats
 
 
 def load_scenario(path) -> ScenarioDocument:
-    """Parse and validate a scenario document.
+    """Parse and validate a scenario document. One pass converts and checks
+    every value, and the records built from them are not checked again.
 
     Raises:
-        ScenarioFormatError: on malformed JSON, wrong arity, unknown keys,
-            or inconsistent values.
+        ScenarioFormatError: on unreadable or malformed JSON, wrong arity,
+            unknown keys, a value that is not a finite JSON number, or
+            inconsistent values.
     """
     try:
         raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, ValueError) as err:  # ValueError: bad JSON, bad UTF-8, too many digits
         raise ScenarioFormatError(f"cannot parse scenario document: {err}") from err
     if not isinstance(raw, dict):
         raise ScenarioFormatError("scenario document must be a JSON object")
@@ -236,41 +262,28 @@ def load_scenario(path) -> ScenarioDocument:
         )
 
     try:
-        _reject_bools(raw["sensors"], "sensors")
-        sensors = SensorArray(np.asarray(raw["sensors"], dtype=float))
-    except (TypeError, ValueError) as err:
+        rows = raw["sensors"] if type(raw["sensors"]) is list else [raw["sensors"]]
+        rows = [_numbers(row, 3, "each sensor") for row in rows]
+        _check_array(rows)
+    except ValueError as err:
         raise ScenarioFormatError(f"bad sensor list: {err}") from err
-    n = sensors.n_sensors
+    sensors = _record(SensorArray, positions=np.array(rows))
+    n = len(rows)
 
-    source = None
-    deltas = None
+    source = deltas = None
     try:
-        raw_c = raw.get("c", SPEED_OF_LIGHT)
-        if isinstance(raw_c, bool):
-            raise ValueError(f"propagation speed must be a number, got {raw_c}")
-        c = float(raw_c)
-        if not 0.0 < c < math.inf:
-            raise ValueError(f"propagation speed must be positive and finite, got {c}")
-        _reject_bools(raw[given[0]], given[0])
+        c = _numbers([raw.get("c", SPEED_OF_LIGHT)], 1, "'c'")[0]
+        if not c > 0.0:
+            raise ValueError(f"propagation speed must be positive, got {c}")
         if "source" in raw:
-            source = np.asarray(raw["source"], dtype=float)
-            if source.shape != (3,) or not np.all(np.isfinite(source)):
-                raise ValueError("source must be a finite 3-vector")
+            source = np.array(_numbers(raw["source"], 3, "'source'"))
         elif "deltas" in raw:
-            d = np.asarray(raw["deltas"], dtype=float)
-            if d.shape != (n - 1,):
-                raise ValueError(
-                    f"expected {n - 1} range differences for {n} sensors, got {d.shape[0]}"
-                )
-            deltas = RangeDifferences(d)
+            d = _numbers(raw["deltas"], n - 1, "'deltas'")
+            deltas = _record(RangeDifferences, deltas=np.array(d))
         else:
-            t = np.asarray(raw["times"], dtype=float)
-            if t.shape != (n,):
-                raise ValueError(
-                    f"expected {n} arrival times for {n} sensors, got {t.shape[0]}"
-                )
+            t = _numbers(raw["times"], n, "'times'")
             deltas = RangeDifferences(arrival_times_to_range_diffs(t, c))
-    except (TypeError, ValueError) as err:
+    except ValueError as err:
         raise ScenarioFormatError(str(err)) from err
 
     return ScenarioDocument(sensors=sensors, source=source, deltas=deltas, c=c)
@@ -287,7 +300,8 @@ def write_scenario(out, scenario: Scenario) -> None:
 
 
 def document_deltas(doc: ScenarioDocument) -> RangeDifferences:
-    """Range differences for a document: as given, or forward-modelled.
+    """Range differences for a document as ``load_scenario`` returns it: as
+    given, or forward-modelled from its checked source.
 
     Raises:
         ScenarioFormatError: if the source sits on a sensor or is too far
@@ -296,9 +310,9 @@ def document_deltas(doc: ScenarioDocument) -> RangeDifferences:
     if doc.deltas is not None:
         return doc.deltas
     try:
+        _check_clearance(doc.sensors, doc.source.tolist())
         # A source too far out overflows to non-finite range differences,
-        # which RangeDifferences rejects; numpy need not warn as well.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return range_differences(Scenario(sensors=doc.sensors, source=doc.source))
+        # which RangeDifferences rejects.
+        return range_differences(_record(Scenario, sensors=doc.sensors, source=doc.source))
     except ValueError as err:
         raise ScenarioFormatError(f"bad source: {err}") from err

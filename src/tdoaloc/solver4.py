@@ -13,7 +13,6 @@ met exactly by two positions and the result is flagged ``ambiguous``.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -28,9 +27,9 @@ from .measurement import (
     RangeDifferences,
     ReferencedArray,
     SensorArray,
+    _squared_distances,
     as_range_differences,
     reference_frame,
-    unreference,
 )
 from .geom3 import solve3_pivoted
 from .result import AmbiguityResolution, Candidate, LocalizationResult, Method
@@ -86,21 +85,21 @@ def build_four_sensor_system(
     if rel.rel_positions.shape[0] != 4 or deltas.n_sensors != 4:
         raise ValueError("four-sensor build needs 4 sensors and 3 range differences")
     r = rel.rel_positions
-    d = deltas.deltas
-    sq = np.einsum("ij,ij->i", r, r)
+    sq = np.einsum("ij,ij->i", r, r).tolist()[1:]
+    d = deltas.deltas.tolist()
 
     matrix = -2.0 * r[1:]
-    range_vector = 2.0 * d
-    const_vector = sq[1:] - d * d
-    line, pivots = solve3_pivoted(matrix, np.array((range_vector, const_vector)).T)
+    # Rows: the range vector, then the constant vector.
+    rhs = np.array([[2.0 * v for v in d], [s - v * v for s, v in zip(sq, d)]])
+    line, pivots = solve3_pivoted(matrix, rhs.T)
     slope, offset = line.T
     return FourSensorSystem(
         matrix=matrix,
-        range_vector=range_vector,
-        const_vector=const_vector,
+        range_vector=rhs[0],
+        const_vector=rhs[1],
         slope=slope,
         offset=offset,
-        baseline=float(np.sqrt(np.max(sq[1:]))),
+        baseline=math.sqrt(max(sq)),
         pivots=pivots,
     )
 
@@ -130,62 +129,50 @@ def solve_reference_range(system: FourSensorSystem) -> QuadraticRoots:
     """
     xi = system.slope
     eta = system.offset
-    xx = float(xi @ xi)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite roots are dropped below
+        xx = float(xi @ xi)
+        b_half = float(xi @ eta)
+        c_coef = float(eta @ eta)
     a = xx - 1.0
-    b_half = float(xi @ eta)
-    c_coef = float(eta @ eta)
     disc = b_half * b_half - a * c_coef
     eps_rho = EPS_RHO_REL * system.baseline
 
-    if abs(a) < EPS_LIN * (xx + 1.0):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            root = np.divide(c_coef, 2.0 * b_half)
+    linear = abs(a) < EPS_LIN * (xx + 1.0)
+    if linear:
+        # b_half = 0 leaves 0 = c: numpy's inf or nan, no unique root.
+        root = c_coef / (2.0 * b_half) if b_half != 0.0 else math.nan
         if not math.isfinite(root):
             raise DegenerateLinearError(
                 "reference-range equation degenerated to 0 = c with no unique root"
             )
-        return QuadraticRoots(
-            a=a,
-            b_half=b_half,
-            c_coef=c_coef,
-            roots=_retain((float(root),), eps_rho),
-            discriminant=disc,
-            linear_fallback=True,
-        )
-
-    used = disc
-    if used < 0.0:
-        if used >= -EPS_DISC * b_half * b_half:
-            used = 0.0  # tangency within round-off
-        else:
-            raise NoRealSolutionError(
-                f"reference-range quadratic has no real root "
-                f"(discriminant {disc:.3e}); range differences are inconsistent"
-            )
-    if used == 0.0:
-        roots = _retain((b_half / a,), eps_rho)
+        values = (root,)
     else:
-        sqrt_disc = math.sqrt(used)
-        q = b_half + sqrt_disc if b_half >= 0.0 else b_half - sqrt_disc
-        roots = _retain((q / a, c_coef / q), eps_rho)
-    return QuadraticRoots(
-        a=a,
-        b_half=b_half,
-        c_coef=c_coef,
-        roots=roots,
-        discriminant=disc,
-        linear_fallback=False,
-    )
+        used = disc
+        if used < 0.0:
+            if used >= -EPS_DISC * b_half * b_half:
+                used = 0.0  # tangency within round-off
+            else:
+                raise NoRealSolutionError(
+                    f"reference-range quadratic has no real root "
+                    f"(discriminant {disc:.3e}); range differences are inconsistent"
+                )
+        if used == 0.0:
+            values = (b_half / a,)
+        else:
+            sqrt_disc = math.sqrt(used)
+            q = b_half + sqrt_disc if b_half >= 0.0 else b_half - sqrt_disc
+            values = (q / a, c_coef / q)
+    return QuadraticRoots(a=a, b_half=b_half, c_coef=c_coef, roots=_retain(values, eps_rho),
+                          discriminant=disc, linear_fallback=linear)
 
 
 def candidate_positions(
     system: FourSensorSystem, roots: QuadraticRoots, origin
 ) -> list[tuple[float, np.ndarray]]:
     """Map retained range roots to absolute candidate positions."""
-    return [
-        (rho, unreference(rho * system.slope - system.offset, origin))
-        for rho in roots.roots
-    ]
+    line = list(zip(system.slope.tolist(), system.offset.tolist(),
+                    np.asarray(origin, dtype=float).tolist()))
+    return [(rho, np.array([rho * s - o + g for s, o, g in line])) for rho in roots.roots]
 
 
 def resolve_ambiguity(
@@ -215,20 +202,17 @@ def resolve_ambiguity(
         raise NoCandidatesError(
             "no nonnegative reference-range root; no candidate positions to score"
         )
-    d = deltas.deltas
+    d = deltas.deltas.tolist()
+    rows = rel.rel_positions.tolist()
+    origin = rel.origin.tolist()
     scored = []
     for rho, pos in candidates:
-        rel_pos = pos - rel.origin
-        diff = rel.rel_positions - rel_pos
-        ranges = np.sqrt(np.sum(diff * diff, axis=1))
-        mismatch = (ranges[1:] - ranges[0]) - d
-        scored.append(
-            Candidate(
-                reference_range=float(rho),
-                position=pos,
-                residual=float(mismatch @ mismatch),
-            )
-        )
+        rel_pos = [p - g for p, g in zip(np.asarray(pos, dtype=float).tolist(), origin)]
+        ranges = [math.sqrt(v) for v in _squared_distances(rows, rel_pos)]
+        # The residual stays a numpy dot, which rounds unlike a Python sum.
+        mismatch = np.array([(r - ranges[0]) - v for r, v in zip(ranges[1:], d)])
+        residual = float(mismatch @ mismatch)
+        scored.append(Candidate(reference_range=float(rho), position=pos, residual=residual))
 
     best = min(range(len(scored)), key=lambda i: scored[i].residual)
     ambiguous = False
@@ -242,7 +226,7 @@ def resolve_ambiguity(
         # Smallest rho + d_i over both candidates. The baseline-relative slack
         # matters only when it is negative; row 0 of the referenced array is
         # zero, so the largest row norm is the longest baseline.
-        margin = min(c.reference_range for c in scored) + min(d.tolist())
+        margin = min(c.reference_range for c in scored) + min(d)
         ambiguous = margin >= 0.0
         if not ambiguous:
             sq = np.einsum("ij,ij->i", rel.rel_positions, rel.rel_positions)
@@ -271,13 +255,12 @@ def solve_four_sensor(sensors: SensorArray, deltas) -> LocalizationResult:
     roots = solve_reference_range(system)
     candidates = candidate_positions(system, roots, rel.origin)
     result = resolve_ambiguity(candidates, rel, deltas)
-    return dataclasses.replace(
-        result,
-        diagnostics={
-            "pivots": system.pivots,
-            "pivot_ratio": min(system.pivots) / max(system.pivots),
-            "quadratic": (roots.a, roots.b_half, roots.c_coef),
-            "discriminant": roots.discriminant,
-            "linear_fallback": roots.linear_fallback,
-        },
+    # The result's own, fresh dict: filled in place, not copied.
+    result.diagnostics.update(
+        pivots=system.pivots,
+        pivot_ratio=min(system.pivots) / max(system.pivots),
+        quadratic=(roots.a, roots.b_half, roots.c_coef),
+        discriminant=roots.discriminant,
+        linear_fallback=roots.linear_fallback,
     )
+    return result

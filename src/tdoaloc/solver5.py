@@ -9,11 +9,12 @@ No candidate ambiguity arises on this path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDeltasError, SingularMatrixError
+from .errors import DegenerateDeltasError, NoRealSolutionError, SingularMatrixError
 from .measurement import (
     RangeDifferences,
     ReferencedArray,
@@ -47,38 +48,25 @@ class FiveSensorSystem:
     scaled_rows: tuple[bool, bool, bool]  # True where the cleared form was used
 
 
-def _chain_pairings() -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Candidate pairing sets: chains over the non-reference sensors.
-
-    The default chain first, then its rotations and reversals. Any of these
-    spans all four measurements; rotating recovers geometries where a
-    particular pairing has two vanishing range differences.
-    """
-    base = (1, 2, 3, 4)
-    sets = []
-    for start in range(4):
-        rot = base[start:] + base[:start]
-        for chain in (rot, rot[::-1]):
-            sets.append(tuple((chain[i + 1], chain[i]) for i in range(3)))
-    return tuple(sets)
+# Pairing sets in the order they are tried: chains over the non-reference
+# sensors, the default chain first, then its rotations and reversals. Any of
+# these spans all four measurements; rotating recovers geometries where a
+# particular pairing has two vanishing range differences.
+PAIRING_FALLBACKS = tuple(
+    tuple((chain[i + 1], chain[i]) for i in range(3))
+    for rot in ((1, 2, 3, 4), (2, 3, 4, 1), (3, 4, 1, 2), (4, 1, 2, 3))
+    for chain in (rot, rot[::-1])
+)
 
 
-# Pairing sets in the order they are tried; the first is DEFAULT_PAIRINGS.
-PAIRING_FALLBACKS = _chain_pairings()
-
-
-def _build(rel: ReferencedArray, d: np.ndarray, pairings, row_form: str):
-    r = rel.rel_positions
-    sq = np.einsum("ij,ij->i", r, r)
-    baseline = float(np.sqrt(np.max(sq[1:])))
-    switch = EPS_DELTA * baseline
-
-    rows = np.empty((3, 3))
-    rhs = np.empty(3)
+def _build(r, sq, d, switch: float, pairings, row_form: str) -> FiveSensorSystem:
+    # Python floats: r and sq are the referenced rows and their squared norms.
+    rows = []
+    rhs = []
     scaled = []
-    for i, (k, j) in enumerate(pairings):
-        dk = float(d[k - 1])
-        dj = float(d[j - 1])
+    for k, j in pairings:
+        dk = d[k - 1]
+        dj = d[j - 1]
         if row_form == "auto":
             if max(abs(dk), abs(dj)) < switch:
                 raise DegenerateDeltasError(
@@ -90,32 +78,37 @@ def _build(rel: ReferencedArray, d: np.ndarray, pairings, row_form: str):
             use_literal = row_form == "literal"
         if use_literal:
             ratio = dk / dj
-            rows[i] = 2.0 * (r[k] - ratio * r[j])
-            rhs[i] = -(dk * dk - ratio * dj * dj) + (sq[k] - ratio * sq[j])
+            rows += [2.0 * (a - ratio * b) for a, b in zip(r[k], r[j])]
+            rhs.append(-(dk * dk - ratio * dj * dj) + (sq[k] - ratio * sq[j]))
         else:
-            rows[i] = 2.0 * (dj * r[k] - dk * r[j])
-            rhs[i] = -dk * dj * (dk - dj) + dj * sq[k] - dk * sq[j]
+            rows += [2.0 * (dj * a - dk * b) for a, b in zip(r[k], r[j])]
+            rhs.append(-dk * dj * (dk - dj) + dj * sq[k] - dk * sq[j])
         scaled.append(not use_literal)
     return FiveSensorSystem(
-        matrix=rows,
-        rhs=rhs,
+        matrix=np.array(rows).reshape(3, 3),
+        rhs=np.array(rhs),
         pairings=tuple(pairings),
         scaled_rows=(scaled[0], scaled[1], scaled[2]),
     )
 
 
-def _pairing_systems(rel: ReferencedArray, d: np.ndarray, row_form: str):
+def _pairing_systems(rel: ReferencedArray, deltas: np.ndarray, row_form: str):
     """Yield ``(attempt, system)`` for each pairing set of PAIRING_FALLBACKS
     that is not degenerate, where ``attempt`` is the set's index.
 
     Raises:
         DegenerateDeltasError: if every pairing set is degenerate.
     """
+    r = rel.rel_positions
+    sq = np.einsum("ij,ij->i", r, r).tolist()
+    switch = EPS_DELTA * math.sqrt(max(sq[1:]))
+    rows = r.tolist()
+    d = deltas.tolist()
     found = False
     last_err = None
     for attempt, pairings in enumerate(PAIRING_FALLBACKS):
         try:
-            system = _build(rel, d, pairings, row_form)
+            system = _build(rows, sq, d, switch, pairings, row_form)
         except DegenerateDeltasError as err:
             last_err = err
             continue
@@ -164,6 +157,8 @@ def solve_five_sensor(sensors: SensorArray, deltas) -> LocalizationResult:
         SingularMatrixError: sensor geometry leaves the system rank-deficient
             under every pairing set.
         DegenerateDeltasError: no pairing set yields informative equations.
+        NoRealSolutionError: the range differences are too large for any
+            finite position.
     """
     deltas = as_range_differences(deltas)
     if sensors.n_sensors != 5 or deltas.n_sensors != 5:
@@ -177,8 +172,14 @@ def solve_five_sensor(sensors: SensorArray, deltas) -> LocalizationResult:
         except SingularMatrixError as err:
             singular_err = err
             continue
+        position = unreference(ref_position, rel.origin)
+        if not all(map(math.isfinite, position.tolist())):
+            # Range differences far beyond every baseline overflow their squares.
+            raise NoRealSolutionError(
+                "range differences too large for the array: no finite position"
+            )
         return LocalizationResult(
-            position=unreference(ref_position, rel.origin),
+            position=position,
             method=Method.FIVE_SENSOR,
             candidates=(),
             ambiguity_resolved_by=AmbiguityResolution.NOT_APPLICABLE,

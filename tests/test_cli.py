@@ -126,10 +126,20 @@ def test_locate_inconsistent_deltas_no_real_solution(tmp_path, capsys):
         {"sensors": CANONICAL_5["sensors"], "deltas": [0.1, False, 0.2, 0.3]},
         {"sensors": CANONICAL_5["sensors"], "times": [0.0, 1e-3, True, 3e-3, 4e-3]},
         {"sensors": CANONICAL_5["sensors"], "times": [0.0, 1e300, 2e-3, 3e-3, 4e-3]},
+        # Every value must be a JSON number: no numeric text, and no integer
+        # beyond the float range.
+        {**CANONICAL_5, "c": "343"},
+        {"sensors": [["0", "0", "0"]] + CANONICAL_5["sensors"][1:], "source": [2, 3, 4]},
+        {"sensors": CANONICAL_5["sensors"], "deltas": [0.1, "0.2", 0.3, 0.4]},
+        {**CANONICAL_5, "c": 10**400},
+        {"sensors": [[0, 0, 10**400]] + CANONICAL_5["sensors"][1:], "source": [2, 3, 4]},
+        {"sensors": CANONICAL_5["sensors"], "deltas": [0.1, 0.2, 10**400, 0.4]},
     ],
     ids=[
         "c_text", "c_null", "c_bool", "c_infinite", "source_overflows", "source_on_sensor",
         "source_bool", "sensors_bool", "deltas_bool", "times_bool", "times_overflow",
+        "c_numeric_text", "sensors_numeric_text", "deltas_numeric_text",
+        "c_huge_int", "sensors_huge_int", "deltas_huge_int",
     ],
 )
 def test_locate_bad_document_parse_error(tmp_path, capsys, doc):

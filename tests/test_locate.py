@@ -8,6 +8,7 @@ import pytest
 
 from tdoaloc import (
     LocalizationError,
+    NoCandidatesError,
     NoRealSolutionError,
     SensorArray,
     document_deltas,
@@ -17,7 +18,7 @@ from tdoaloc import (
     range_differences,
     sample_scenario,
 )
-from tdoaloc.cli import EXIT_NO_REAL_SOLUTION, main
+from tdoaloc.cli import EXIT_DEGENERATE, EXIT_NO_REAL_SOLUTION, EXIT_PARSE_ERROR, main
 
 SEED = 20260809
 SCALES = (1e-6, 1e-3, 1.0, 10.0)
@@ -95,3 +96,42 @@ def test_localize_golden_digest(tmp_path):
     # cleared rows.
     assert min(kinds.values()) > 0, kinds
     assert digest.hexdigest() == LOCATE_DIGEST, kinds
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "n, deltas, error, code",
+    [
+        # Finite range differences far beyond every baseline: their squares
+        # overflow while the pivots stay sound.
+        (5, [1e200, -1e200, 1e200, 3e200], NoRealSolutionError, EXIT_NO_REAL_SOLUTION),
+        (4, [1e200, -1e200, 1e200], NoCandidatesError, EXIT_DEGENERATE),
+    ],
+    ids=["five_sensors", "four_sensors"],
+)
+def test_huge_deltas_give_a_typed_error(tmp_path, capsys, n, deltas, error, code):
+    with pytest.raises(error):
+        localize(SensorArray(UNIT_5[:n]), deltas)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"sensors": UNIT_5[:n], "deltas": deltas}))
+    assert main(["locate", str(path)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        b'{"sensors": [[0, 0, 0]], "source": "\xe9"}',  # not UTF-8
+        b'{"sensors": [[0, 0, 0]], "deltas": [1' + b"0" * 5000 + b"]}",  # too many digits
+    ],
+    ids=["not_utf8", "int_too_long"],
+)
+def test_locate_unreadable_document_parse_error(tmp_path, capsys, text):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(text)
+    with pytest.raises(LocalizationError):
+        load_scenario(path)
+    assert main(["locate", str(path)]) == EXIT_PARSE_ERROR
+    assert capsys.readouterr().err.startswith("error: cannot parse")

@@ -19,6 +19,7 @@ from tdoaloc import (
     unreference,
     write_scenario,
 )
+from tdoaloc.measurement import _squared_distances
 
 CANONICAL_SENSORS_5 = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
 CANONICAL_SOURCE = (2, 3, 4)
@@ -163,6 +164,24 @@ def test_triangle_inequality_on_deltas():
         d = range_differences(sc).deltas
         baselines = np.linalg.norm(pos[1:] - pos[0], axis=1)
         assert np.all(np.abs(d) <= baselines + 1e-12)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_squared_distances_round_like_numpy_sum(n):
+    # The Python-float distances replace np.sum(diff * diff, axis=1) in the
+    # forward model and the residuals, so they must round the same way. The
+    # entries span six decades, so the other summation orders often differ.
+    rng = np.random.default_rng(8)
+    reordered = 0
+    for _ in range(2000):
+        rows = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-3, 4, (n, 3))
+        point = rng.standard_normal(3) * 10.0 ** rng.integers(-3, 4, 3)
+        diff = rows - point
+        squares = (diff * diff).tolist()
+        expected = np.sum(diff * diff, axis=1).tolist()
+        assert _squared_distances(rows.tolist(), point.tolist()) == expected
+        reordered += any(a + (b + c) != e for (a, b, c), e in zip(squares, expected))
+    assert reordered > 100
 
 
 def test_sensor_array_validation():
