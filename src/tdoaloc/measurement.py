@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -243,7 +242,8 @@ def load_scenario(path) -> ScenarioDocument:
             inconsistent values.
     """
     try:
-        raw = json.loads(Path(path).read_text())
+        with open(path, "rb") as f:  # bytes: no pathlib or text-layer cost per file
+            raw = json.loads(f.read().decode())
     except (OSError, ValueError) as err:  # ValueError: bad JSON, bad UTF-8, too many digits
         raise ScenarioFormatError(f"cannot parse scenario document: {err}") from err
     if not isinstance(raw, dict):
