@@ -50,7 +50,7 @@ def solve3_pivoted(matrix, rhs) -> tuple[np.ndarray, tuple[float, float, float]]
     pivots = []
     for col in range(3):
         column = [abs(row[col]) for row in a[col:]]
-        p = col + column.index(max(column))  # the first largest, as max() picks
+        p = col + column.index(max(column))  # the first of equal largest
         piv = a[p][col]
         if not abs(piv) >= tol:  # a NaN pivot fails too
             raise SingularMatrixError(

@@ -26,7 +26,7 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s, default propagation speed
 # solvers singular, so arrays are rejected at construction.
 EPS_SEP = 1e-9
 
-# Upper-triangle (i < j) index pairs for each supported array size.
+# Upper-triangle (i < j) index pairs per supported array size, for the batch sweep.
 _SENSOR_PAIRS = {n: np.triu_indices(n, k=1) for n in (4, 5)}
 
 

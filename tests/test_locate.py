@@ -10,6 +10,7 @@ from tdoaloc import (
     LocalizationError,
     NoCandidatesError,
     NoRealSolutionError,
+    ScenarioFormatError,
     SensorArray,
     document_deltas,
     instance_rng,
@@ -131,7 +132,7 @@ def test_huge_deltas_give_a_typed_error(tmp_path, capsys, n, deltas, error, code
 def test_locate_unreadable_document_parse_error(tmp_path, capsys, text):
     path = tmp_path / "scenario.json"
     path.write_bytes(text)
-    with pytest.raises(LocalizationError):
+    with pytest.raises(ScenarioFormatError):
         load_scenario(path)
     assert main(["locate", str(path)]) == EXIT_PARSE_ERROR
     assert capsys.readouterr().err.startswith("error: cannot parse")
