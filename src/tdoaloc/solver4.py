@@ -139,7 +139,7 @@ def solve_reference_range(system: FourSensorSystem) -> QuadraticRoots:
 
     linear = abs(a) < EPS_LIN * (xx + 1.0)
     if linear:
-        # b_half = 0 leaves 0 = c: numpy's inf or nan, no unique root.
+        # b_half = 0 leaves 0 = c, which has no unique root.
         root = c_coef / (2.0 * b_half) if b_half != 0.0 else math.nan
         if not math.isfinite(root):
             raise DegenerateLinearError(
