@@ -110,7 +110,9 @@ def _pairing_systems(rel: ReferencedArray, deltas: np.ndarray, row_form: str):
         try:
             system = _build(rows, sq, d, switch, pairings, row_form)
         except DegenerateDeltasError as err:
-            last_err = err
+            # Without its traceback: that holds this frame, which would hold
+            # the error, a cycle only the garbage collector frees.
+            last_err = err.with_traceback(None)
             continue
         found = True
         yield attempt, system
@@ -170,7 +172,7 @@ def solve_five_sensor(sensors: SensorArray, deltas) -> LocalizationResult:
         try:
             ref_position, pivots = solve3_pivoted(system.matrix, system.rhs)
         except SingularMatrixError as err:
-            singular_err = err
+            singular_err = err.with_traceback(None)  # no cycle, as in _pairing_systems
             continue
         position = unreference(ref_position, rel.origin)
         if not all(map(math.isfinite, position.tolist())):

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,25 @@ def test_pairing_fallback_on_double_zero_deltas():
     result = solve_five_sensor(arr, d)
     assert result.diagnostics["pairing_retries"] >= 1
     assert np.linalg.norm(result.position - src) < 1e-9 * np.linalg.norm(src)
+
+
+def test_pairing_fallbacks_leave_no_reference_cycles():
+    # A pairing set skipped for vanishing deltas or a singular system keeps
+    # its error for the message chain; that must not tie the error to its
+    # own frame, or every retry leaves garbage only the collector frees.
+    equidistant = SensorArray([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0.3, 0.4, 1.7), (1.2, -0.7, 0.4)])
+    collinear = SensorArray([(0, 0, 0), (1, 2, 3), (2, 4, 6), (3, 6, 9), (4, 8, 12)])
+    gc.collect()
+    gc.disable()
+    try:
+        solve_five_sensor(equidistant, range_differences(Scenario(equidistant, (1.0, 1.0, 1.5))))
+        try:
+            solve_five_sensor(collinear, range_differences(Scenario(collinear, (0.4, 0.1, 0.3))))
+        except SingularMatrixError:
+            pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_all_zero_deltas_degenerate():
