@@ -1,0 +1,193 @@
+"""Per-instance uniform draws for :func:`tdoaloc.montecarlo.run_sweep`.
+
+``instance_rng(seed, si, ii)`` is numpy's ``default_rng`` on
+``SeedSequence(seed, spawn_key=(si, ii))``: a PCG64 generator seeded by
+O'Neill's ``seed_seq_fe`` hash. Building one such object per instance costs
+more than solving the instance, so :func:`uniforms` computes the same
+doubles for a range of instance indices with array arithmetic, bit for bit:
+
+- ``SeedSequence`` mixes its entropy words (the seed's 32-bit words,
+  zero-padded to 4, then the scale and instance indices) into a pool of
+  four 32-bit words, then hashes the pool into four 64-bit state words.
+  Every word but the instance index is shared by a scale's rows, so the
+  pool is mixed up to that word once, on Python ints, and only the last
+  word and the state hash run as ``uint32`` arrays.
+- PCG64 (O'Neill 2014, "PCG: A Family of Simple Fast Space-Efficient
+  Statistically Good Algorithms") is a 128-bit LCG with XSL-RR output.
+  Seeding from state words ``s0..s3`` sets ``inc = (s2:s3 << 1) | 1``,
+  steps, adds ``s0:s1`` and steps; each draw steps, then outputs. The
+  state after draw ``j`` is ``M**(j+1) * (s0:s1 + inc) + (M**j + ... + 1)
+  * inc`` mod 2**128, so every draw of every row is one pair of 128-bit
+  products, computed on ``uint64`` halves with 32-bit limbs for the high
+  half of each 64-bit product.
+- ``Generator.random()`` is ``(next64 >> 11) * 2**-53``.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from itertools import islice
+
+import numpy as np
+
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+# seed_seq_fe constants, as numpy's SeedSequence uses them (pool size 4).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_POOL_SIZE = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+# Largest instance index that is one entropy word, the only kind the row
+# arithmetic below takes.
+MAX_INSTANCE_INDEX = _MASK32
+
+
+def _hash_consts(init: int, mult: int):
+    """seed_seq_fe's hash constants: each hash uses a constant and its successor."""
+    h = init
+    while True:
+        h_next = h * mult & _MASK32
+        yield h, h_next
+        h = h_next
+
+
+def _hashmix(value, consts):
+    """seed_seq_fe ``hashmix``, on Python ints or ``uint32`` arrays (where the
+    constants may be arrays that broadcast against ``value``)."""
+    h, h_next = consts
+    value = (value ^ h) * h_next & _MASK32
+    return value ^ value >> _XSHIFT
+
+
+def _mix(x, y):
+    value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return value ^ value >> _XSHIFT
+
+
+def _words(n: int) -> list[int]:
+    """numpy's coercion of a non-negative int to 32-bit entropy words."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _pool_before_last_word(seed: int, scale_index: int):
+    """The pool after mixing every entropy word that precedes the instance
+    index, and the hash constants that continue from there."""
+    words = _words(seed)
+    words += [0] * (_POOL_SIZE - len(words)) + _words(scale_index)
+    consts = _hash_consts(_INIT_A, _MULT_A)
+    pool = [_hashmix(w, next(consts)) for w in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(consts)))
+    for w in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(w, next(consts)))
+    return pool, consts
+
+
+def _const_array(values, dtype=np.uint32) -> np.ndarray:
+    """A column of constants, to broadcast against a row of instances."""
+    return np.array(list(values), dtype=dtype)[:, None]
+
+
+def _next_consts(consts, n: int) -> list[np.ndarray]:
+    """The next ``n`` hashes' constant pairs, as two columns."""
+    return [_const_array(c) for c in zip(*islice(consts, n))]
+
+
+# generate_state(4, np.uint64) hashes the pool, cycled, into 8 words.
+_STATE_CONSTS = _next_consts(_hash_consts(_INIT_B, _MULT_B), 2 * _POOL_SIZE)
+_STATE_CYCLE = np.arange(2 * _POOL_SIZE) % _POOL_SIZE
+
+
+def _limbs(values) -> tuple[np.ndarray, ...]:
+    """128-bit ints as ``uint64`` arrays: high half, low half, and the low
+    half's two 32-bit limbs."""
+    return tuple(
+        _const_array((v >> shift & mask for v in values), np.uint64)
+        for shift, mask in ((64, _MASK64), (0, _MASK64), (0, _MASK32), (32, _MASK32))
+    )
+
+
+@lru_cache(maxsize=4)
+def _jump_consts(width: int):
+    """Limbs of ``M**(j+1)`` and ``M**j + ... + 1`` for draws ``j = 1..width``."""
+    powers = [1]
+    for _ in range(width + 1):
+        powers.append(powers[-1] * _PCG_MULT & _MASK128)
+    sums = [sum(powers[: j + 1]) & _MASK128 for j in range(1, width + 1)]
+    return _limbs(powers[2:]), _limbs(sums)
+
+
+def _mul128(const, hi, lo):
+    """``const * (hi:lo)`` mod 2**128 for ``(W, 1)`` constant limbs and
+    ``(N,)`` halves, as ``(W, N)`` high and low halves."""
+    c_hi, c_lo, c0, c1 = const
+    lo0, lo1 = lo & _MASK32, lo >> 32
+    # The high half of c_lo * lo, from 32-bit limb products (exact in uint64).
+    p01 = lo0 * c1
+    p10 = lo1 * c0
+    mid = lo0 * c0
+    mid >>= 32
+    mid += p01 & _MASK32
+    mid += p10 & _MASK32
+    mid >>= 32
+    p01 >>= 32
+    p10 >>= 32
+    high = lo1 * c1
+    high += p01
+    high += p10
+    high += mid
+    # The cross terms, mod 2**64; c_hi * hi is a multiple of 2**128.
+    high += c_lo * hi
+    high += c_hi * lo
+    return high, c_lo * lo
+
+
+def uniforms(seed: int, scale_index: int, first: int, stop: int, width: int) -> np.ndarray:
+    """The ``(stop - first, width)`` doubles whose row ``k`` is
+    ``instance_rng(seed, scale_index, first + k).random(width)``, bit for bit.
+
+    ``seed`` and ``scale_index`` are non-negative ints of any size; instance
+    indices must not exceed ``MAX_INSTANCE_INDEX``.
+    """
+    if seed < 0 or scale_index < 0 or not 0 <= first <= stop <= MAX_INSTANCE_INDEX + 1:
+        raise ValueError(
+            f"stream indices out of range: seed={seed}, scale_index={scale_index}, "
+            f"instances [{first}, {stop})"
+        )
+    pool, consts = _pool_before_last_word(seed, scale_index)
+    index = np.arange(first, stop, dtype=np.uint32)
+    pool = _mix(_const_array(pool), _hashmix(index, _next_consts(consts, _POOL_SIZE)))
+    state = _hashmix(pool[_STATE_CYCLE], _STATE_CONSTS).astype(np.uint64)
+    s0, s1, s2, s3 = state[0::2] | state[1::2] << 32
+
+    # PCG64 seeding: inc = (s2:s3 << 1) | 1, and after two steps the state
+    # is M * x + inc with x = s0:s1 + inc.
+    inc_hi = s2 << 1 | s3 >> 63
+    inc_lo = s3 << 1 | 1
+    x_lo = s1 + inc_lo
+    x_hi = s0 + inc_hi + (x_lo < s1)
+    powers, sums = _jump_consts(width)
+    a_hi, a_lo = _mul128(powers, x_hi, x_lo)
+    b_hi, b_lo = _mul128(sums, inc_hi, inc_lo)
+    lo = a_lo + b_lo
+    hi = a_hi + b_hi + (lo < a_lo)
+
+    # XSL-RR: xor the halves, rotate right by the top 6 bits of the state.
+    value = hi ^ lo
+    rot = hi >> 58
+    value = value >> rot | value << (-rot & 63)
+    # One row per draw so far; the caller wants one row per instance.
+    draws = np.empty((stop - first, width))
+    np.multiply(value >> 11, 2.0**-53, out=draws.T)
+    return draws

@@ -12,20 +12,23 @@ Instances are seeded independently via a splittable hash of
 (seed, scale index, instance index), so sweeps are reproducible bit-for-bit
 regardless of the order in which instances are run.
 
-``run_sweep`` runs each scale in batches of up to ``BATCH_ROWS`` instances:
-the private ``_batch`` module samples, solves and scores a batch's instances
-as numpy array rows, with the same floating-point operations as
-``run_instance``. Rows it cannot prove generic (a rejected draw, a singular
-pivot, a tangent or clamped root, a linear fallback, a cleared row or
-pairing retry, ...) are rerun one by one through ``sample_scenario`` and
-``run_instance``, so every edge case has one implementation and the tallies
-equal a one-by-one pass bit for bit. The scalar functions stay the API for
-single instances.
+``run_sweep`` runs each scale in batches of up to ``BATCH_ROWS`` instances.
+The private ``_streams`` module computes a batch's draws, the doubles that
+each instance's ``instance_rng`` generator yields first, as array arithmetic
+without building a generator per instance. The private ``_batch`` module
+samples, solves and scores the batch's instances as numpy array rows, with
+the same floating-point operations as ``run_instance``. Rows it cannot
+prove generic (a rejected draw, a singular pivot, a tangent or clamped root,
+a linear fallback, a cleared row or pairing retry, ...) are rerun one by one
+through ``sample_scenario`` and ``run_instance``, so every edge case has one
+implementation and the tallies equal a one-by-one pass bit for bit. The
+scalar functions stay the API for single instances.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -46,6 +49,8 @@ from .result import LocalizationResult
 DEFAULT_THRESHOLDS = (1e-6, 1e-3)
 DEFAULT_SCALE_GRID = tuple(float(s) for s in np.logspace(-6.0, 0.0, 13))
 MAX_SAMPLE_ATTEMPTS = 100
+# Instance indices are one 32-bit word of the seed hash's spawn key.
+MAX_INSTANCES = 1 << 32
 # Instances per batch in run_sweep: large enough that numpy's per-call cost
 # is small per row, small enough that a batch's arrays stay near a megabyte.
 BATCH_ROWS = 1024
@@ -70,10 +75,19 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "thresholds", tuple(float(t) for t in self.thresholds))
         object.__setattr__(self, "scale_grid", tuple(float(s) for s in self.scale_grid))
+        for name in ("n_sensors", "n_instances", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.n_sensors not in (4, 5):
             raise InvalidConfigError(f"n_sensors must be 4 or 5, got {self.n_sensors}")
-        if self.n_instances < 1:
-            raise InvalidConfigError(f"n_instances must be >= 1, got {self.n_instances}")
+        if not 1 <= self.n_instances <= MAX_INSTANCES:
+            raise InvalidConfigError(
+                f"n_instances must be in [1, {MAX_INSTANCES}], got {self.n_instances}"
+            )
+        if self.seed < 0:
+            raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
         if not self.thresholds or any(not t > 0.0 for t in self.thresholds):
             raise InvalidConfigError(f"thresholds must be positive, got {self.thresholds}")
         if not self.scale_grid or any(not s > 0.0 for s in self.scale_grid):
@@ -193,14 +207,16 @@ def run_sweep(config: ExperimentConfig) -> SweepSummary:
     """Run every (scale, instance) cell of the sweep and aggregate.
 
     Each scale runs in batches of up to BATCH_ROWS instances
-    (``_batch.solve_scale``) over the first draws of their generators; the
-    rows a batch cannot prove generic are rerun one by one through
-    ``sample_scenario`` and ``run_instance``. The tallies equal a one-by-one
-    pass bit for bit, and memory does not grow with ``n_instances``.
+    (``_batch.solve_scale``) over the first draws of their generators, which
+    ``_streams.uniforms`` computes for the whole batch without building the
+    generators. The rows a batch cannot prove generic are rerun one by one
+    through ``sample_scenario`` on their ``instance_rng`` generators and
+    ``run_instance``. The tallies equal a one-by-one pass bit for bit, and
+    memory does not grow with ``n_instances``.
     """
     # Imported here, not at module level, so that importing the package for
     # single solves (``tdoaloc locate``) does not load the batch code.
-    from . import _batch
+    from . import _batch, _streams
 
     n = config.n_instances
     width = 3 * config.n_sensors + 3
@@ -208,10 +224,9 @@ def run_sweep(config: ExperimentConfig) -> SweepSummary:
     for si, scale in enumerate(config.scale_grid):
         tallies = [Counter() for _ in config.thresholds]
         for first in range(0, n, BATCH_ROWS):
-            rows = range(first, min(first + BATCH_ROWS, n))
-            draws = np.empty((len(rows), width))
-            for k, ii in enumerate(rows):
-                instance_rng(config.seed, si, ii).random(out=draws[k])
+            draws = _streams.uniforms(
+                config.seed, si, first, min(first + BATCH_ROWS, n), width
+            )
             generic, _, rel_error, losing = _batch.solve_scale(
                 draws, config.n_sensors, scale
             )
@@ -226,7 +241,7 @@ def run_sweep(config: ExperimentConfig) -> SweepSummary:
                 )
             for k in np.flatnonzero(~generic).tolist():
                 scenario = sample_scenario(
-                    instance_rng(config.seed, si, rows[k]), config.n_sensors, scale
+                    instance_rng(config.seed, si, first + k), config.n_sensors, scale
                 )
                 result = run_instance(scenario, config.thresholds)
                 for tally, cause in zip(tallies, result.failure_causes):

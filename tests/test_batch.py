@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import tdoaloc.montecarlo as mc
+from tdoaloc import _streams
 from tdoaloc import (
     DEFAULT_SCALE_GRID,
     ExperimentConfig,
@@ -159,7 +160,14 @@ def test_run_sweep_hands_non_generic_rows_to_scalar_path(monkeypatch, n_sensors)
         diagnostics = results["equidistant"].estimate.diagnostics
         assert diagnostics["pairing_retries"] > 0 and any(diagnostics["scaled_rows"])
 
+    # run_sweep draws a batch's rows from _streams.uniforms and reruns the
+    # special rows on instance_rng; both hand out the hand-built rows.
     monkeypatch.setattr(mc, "instance_rng", lambda seed, si, ii: _Draws(rows[ii]))
+    monkeypatch.setattr(
+        _streams,
+        "uniforms",
+        lambda seed, si, first, stop, width: np.array([r[:width] for r in rows[first:stop]]),
+    )
     # Batches of 4 rows: the special rows straddle batch boundaries, and the
     # singular one (last) is not at its own index within its batch.
     monkeypatch.setattr(mc, "BATCH_ROWS", 4)

@@ -236,23 +236,46 @@ def test_sweep_invalid_configs(capsys):
     capsys.readouterr()
     assert main(["sweep", "--thresholds", "abc"]) == EXIT_INVALID_CONFIG
     capsys.readouterr()
+    assert main(["sweep", "--instances", str(2**32 + 1)]) == EXIT_INVALID_CONFIG
+    capsys.readouterr()
 
 
-# SHA-256 of `tdoaloc sweep --sensors N --instances 50 --seed 20260809` on the
-# default grid and thresholds. Refactors must leave the sweep CSV bit-identical.
+@pytest.mark.parametrize("command", ["sweep", "gen"])
+def test_negative_seed_is_invalid_config(capsys, command):
+    # numpy's SeedSequence would raise a bare ValueError on a negative seed.
+    assert main([command, "--seed", "-1"]) == EXIT_INVALID_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+# SHA-256 of `tdoaloc sweep --sensors N --instances I --seed S` on the
+# default grid and thresholds, keyed by test id (N, I, S). Refactors must leave
+# the sweep CSV bit-identical. Seed 4294967301 (2**32 + 5) spans two entropy
+# words; 1100 instances run a scale in more than one batch.
 SWEEP_DIGESTS = {
-    4: "136f1e8695aabffe5aee0cadc8d07a396d64c83dc9f0490078627caec8657d31",
-    5: "11caf609ffaa8c069a9af13d2dc8a3803cc15af99001243864e8fbcd9f1ceed4",
+    "4": (4, 50, 20260809, "136f1e8695aabffe5aee0cadc8d07a396d64c83dc9f0490078627caec8657d31"),
+    "5": (5, 50, 20260809, "11caf609ffaa8c069a9af13d2dc8a3803cc15af99001243864e8fbcd9f1ceed4"),
+    "4-1100-two-word-seed": (
+        4, 1100, 4294967301, "ddfb4c3a0458340f0e800081e5691966504e1a771503a7fd83e929cd386c7453"
+    ),
+    "5-1100-two-word-seed": (
+        5, 1100, 4294967301, "8a4cba3f6cc4c8e931960c13c5ddbdf7cd3868949875a53810dce75aca8f865d"
+    ),
+    "4-1100": (4, 1100, 20260809, "75f268d7841477be0b3d9e8fe1a1878ab650a5db90ce2a8848e3ba7ada71c5d5"),
+    "5-1100": (5, 1100, 20260809, "caba314743d1f7ba05b6265de8424ae2603512513cbc0d0b79855ac58bcae19e"),
 }
 
 
-@pytest.mark.parametrize("n_sensors", sorted(SWEEP_DIGESTS))
-def test_sweep_csv_golden_digest(capsys, n_sensors):
-    argv = ["sweep", "--sensors", str(n_sensors), "--instances", "50", "--seed", "20260809"]
+@pytest.mark.parametrize("case", sorted(SWEEP_DIGESTS))
+def test_sweep_csv_golden_digest(capsys, case):
+    n_sensors, instances, seed, expected = SWEEP_DIGESTS[case]
+    argv = ["sweep", "--sensors", str(n_sensors), "--instances", str(instances),
+            "--seed", str(seed)]
     assert main(argv) == EXIT_OK
     out = capsys.readouterr().out
     digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == SWEEP_DIGESTS[n_sensors], f"sweep CSV changed:\n{out}"
+    assert digest == expected, f"sweep CSV changed:\n{out}"
 
 
 def test_gen_roundtrip_through_locate(tmp_path, capsys):

@@ -33,6 +33,19 @@ def test_config_validation():
         ExperimentConfig(scale_grid=(1.0, 0.0))
     with pytest.raises(InvalidConfigError):
         ExperimentConfig(scale_grid=())
+    with pytest.raises(InvalidConfigError):
+        ExperimentConfig(n_instances=mc.MAX_INSTANCES + 1)
+    for seed in (-1, 1.0, True, "3", None):
+        with pytest.raises(InvalidConfigError):
+            ExperimentConfig(seed=seed)
+    for bad in (dict(n_sensors=4.0), dict(n_instances=1.5), dict(n_instances=True)):
+        with pytest.raises(InvalidConfigError):
+            ExperimentConfig(**bad)
+    # numpy integers are taken as ints, so a sweep CSV never reads np.int64(...).
+    config = ExperimentConfig(n_sensors=np.int64(4), n_instances=np.int64(9), seed=np.uint64(7))
+    assert (config.n_sensors, config.n_instances, config.seed) == (4, 9, 7)
+    assert all(type(v) is int for v in (config.n_sensors, config.n_instances, config.seed))
+    assert ExperimentConfig(n_instances=mc.MAX_INSTANCES).n_instances == 2**32
     assert ExperimentConfig().scale_grid == (1.0,)
     assert ExperimentConfig(scale_grid=(0.1, 1)).scale_grid == (0.1, 1.0)
 
