@@ -25,9 +25,12 @@ from __future__ import annotations
 import numpy as np
 
 from .geom3 import EPS_RANK
-from .measurement import _SENSOR_PAIRS, EPS_SEP
+from .measurement import EPS_SEP
 from .solver4 import EPS_LIN, EPS_RHO_REL, EPS_TIE
 from .solver5 import DEFAULT_PAIRINGS, EPS_DELTA
+
+# Upper-triangle (i < j) index pairs per supported array size.
+_SENSOR_PAIRS = {n: np.triu_indices(n, k=1) for n in (4, 5)}
 
 
 def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:

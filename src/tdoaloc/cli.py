@@ -156,6 +156,15 @@ def _scale_grid(args) -> tuple[float, ...]:
     return DEFAULT_SCALE_GRID
 
 
+def _write_out(path, write) -> None:
+    """Call ``write(out)`` on the file ``path``, or on stdout without one."""
+    if path:
+        with open(path, "w") as out:
+            write(out)
+    else:
+        write(sys.stdout)
+
+
 def cmd_locate(args) -> int:
     try:
         doc = load_scenario(args.scenario)
@@ -164,11 +173,7 @@ def cmd_locate(args) -> int:
     except LocalizationError as err:
         print(f"error: {err}", file=sys.stderr)
         return _exit_code(err)
-    if args.out:
-        with open(args.out, "w") as out:
-            _print_report(result, out)
-    else:
-        _print_report(result, sys.stdout)
+    _write_out(args.out, functools.partial(_print_report, result))
     return EXIT_OK
 
 
@@ -186,12 +191,7 @@ def cmd_sweep(args) -> int:
         return EXIT_INVALID_CONFIG
     summary = run_sweep(config)
     writers = {"csv": write_sweep_csv, "json": write_sweep_json}
-    writer = writers[args.format]
-    if args.out:
-        with open(args.out, "w") as out:
-            writer(summary, out)
-    else:
-        writer(summary, sys.stdout)
+    _write_out(args.out, functools.partial(writers[args.format], summary))
     return EXIT_OK
 
 
@@ -208,15 +208,15 @@ def cmd_gen(args) -> int:
     except LocalizationError as err:
         print(f"error: {err}", file=sys.stderr)
         return _exit_code(err)
-    if args.out:
-        with open(args.out, "w") as out:
-            write_scenario(out, scenario)
-    else:
-        write_scenario(sys.stdout, scenario)
+    _write_out(args.out, lambda out: write_scenario(out, scenario))
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # Built once per process: each build leaves about 170 objects in
+    # reference cycles (argparse's help formatters) for the garbage collector,
+    # which adds up when main runs many times in one process.
     parser = argparse.ArgumentParser(
         prog="tdoaloc",
         description="Exact closed-form TDOA source localization (4/5 sensors, 3D)",
@@ -252,14 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", default=None, help="output path (default stdout)")
     p_gen.set_defaults(func=cmd_gen)
     return parser
-
-
-@functools.lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    # Built once per process: each build leaves about 170 objects in
-    # reference cycles (argparse's help formatters) for the garbage collector,
-    # which adds up when main runs many times in one process.
-    return build_parser()
 
 
 def main(argv=None) -> int:

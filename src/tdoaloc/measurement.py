@@ -26,18 +26,6 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s, default propagation speed
 # solvers singular, so arrays are rejected at construction.
 EPS_SEP = 1e-9
 
-# Upper-triangle (i < j) index pairs per supported array size, for the batch sweep.
-_SENSOR_PAIRS = {n: np.triu_indices(n, k=1) for n in (4, 5)}
-
-
-def _as_positions(positions, name: str) -> np.ndarray:
-    pos = np.asarray(positions, dtype=float)
-    if pos.ndim != 2 or pos.shape[1] != 3:
-        raise ValueError(f"{name} must be an (n, 3) array, got shape {pos.shape}")
-    if not np.all(np.isfinite(pos)):
-        raise ValueError(f"{name} must be finite")
-    return pos
-
 
 def _squared_distances(rows, point) -> list[float]:
     """Squared distance from ``point`` to each row on Python floats, summed
@@ -76,7 +64,13 @@ class SensorArray:
     positions: np.ndarray  # (n, 3), meters, n in {4, 5}
 
     def __post_init__(self):
-        pos = _as_positions(self.positions, "sensor positions")
+        pos = np.asarray(self.positions, dtype=float)
+        if pos.ndim != 2 or pos.shape[1] != 3:
+            raise ValueError(
+                f"sensor positions must be an (n, 3) array, got shape {pos.shape}"
+            )
+        if not np.all(np.isfinite(pos)):
+            raise ValueError("sensor positions must be finite")
         _check_array(pos.tolist())
         _set(self, positions=pos)
 
@@ -91,12 +85,6 @@ class ReferencedArray:
 
     rel_positions: np.ndarray  # (n, 3); row 0 is exactly zero
     origin: np.ndarray  # (3,), the absolute reference-sensor position
-
-    def __post_init__(self):
-        rel = _as_positions(self.rel_positions, "relative positions")
-        if np.any(rel[0] != 0.0):
-            raise ValueError("relative positions must place the reference at zero")
-        _set(self, rel_positions=rel, origin=np.asarray(self.origin, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -182,11 +170,6 @@ def arrival_times_to_range_diffs(times, c: float = SPEED_OF_LIGHT) -> np.ndarray
     return np.array([c * (v - t[0]) for v in t[1:]])
 
 
-def unreference(position, origin) -> np.ndarray:
-    """Map a reference-frame position back to absolute coordinates."""
-    return np.asarray(position, dtype=float) + np.asarray(origin, dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # Scenario documents (shared with the CLI)
 #
@@ -209,7 +192,6 @@ class ScenarioDocument:
     sensors: SensorArray
     source: np.ndarray | None
     deltas: RangeDifferences | None
-    c: float = SPEED_OF_LIGHT
 
 
 def _numbers(values, count: int, name: str) -> list[float]:
@@ -286,7 +268,7 @@ def load_scenario(path) -> ScenarioDocument:
     except ValueError as err:
         raise ScenarioFormatError(str(err)) from err
 
-    return ScenarioDocument(sensors=sensors, source=source, deltas=deltas, c=c)
+    return ScenarioDocument(sensors=sensors, source=source, deltas=deltas)
 
 
 def write_scenario(out, scenario: Scenario) -> None:

@@ -98,7 +98,6 @@ class ExperimentConfig:
 class InstanceResult:
     """Outcome of one scenario: estimate, error, per-threshold success."""
 
-    scenario: Scenario
     estimate: LocalizationResult | None
     error: str | None
     rel_error: float | None
@@ -175,7 +174,7 @@ def run_instance(scenario: Scenario, thresholds) -> InstanceResult:
         else:
             cause = FailureCause.NUMERICAL_ERROR
         n = len(thresholds)
-        return InstanceResult(scenario, None, str(err), None, (False,) * n, (cause,) * n)
+        return InstanceResult(None, str(err), None, (False,) * n, (cause,) * n)
 
     truth = scenario.source
     truth_norm = float(np.linalg.norm(truth))
@@ -193,7 +192,7 @@ def run_instance(scenario: Scenario, thresholds) -> InstanceResult:
         else FailureCause.NUMERICAL_ERROR
         for ok, t in zip(success, thresholds)
     )
-    return InstanceResult(scenario, estimate, None, rel_error, success, causes)
+    return InstanceResult(estimate, None, rel_error, success, causes)
 
 
 def _rel_error(position: np.ndarray, truth: np.ndarray, truth_norm: float) -> float:

@@ -21,7 +21,6 @@ from .measurement import (
     SensorArray,
     as_range_differences,
     reference_frame,
-    unreference,
 )
 from .geom3 import solve3_pivoted
 from .result import AmbiguityResolution, LocalizationResult, Method
@@ -174,7 +173,7 @@ def solve_five_sensor(sensors: SensorArray, deltas) -> LocalizationResult:
         except SingularMatrixError as err:
             singular_err = err.with_traceback(None)  # no cycle, as in _pairing_systems
             continue
-        position = unreference(ref_position, rel.origin)
+        position = ref_position + rel.origin
         if not all(map(math.isfinite, position.tolist())):
             # Range differences far beyond every baseline overflow their squares.
             raise NoRealSolutionError(

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from tdoaloc import SingularMatrixError, solve3_pivoted
+from tdoaloc import SingularMatrixError
+from tdoaloc.geom3 import solve3_pivoted
 
 
 def test_solve3_identity():

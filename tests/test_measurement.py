@@ -15,11 +15,9 @@ from tdoaloc import (
     load_scenario,
     range_differences,
     reference_frame,
-    true_ranges,
-    unreference,
     write_scenario,
 )
-from tdoaloc.measurement import _squared_distances
+from tdoaloc.measurement import _squared_distances, true_ranges
 
 CANONICAL_SENSORS_5 = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
 CANONICAL_SOURCE = (2, 3, 4)
@@ -124,15 +122,6 @@ def test_tdoa_linearity_exact():
         assert one(a * dt) == a * one(dt)
         b = float(rng.integers(1, 9))
         assert one(b * dt) == pytest.approx(b * one(dt), rel=1e-15)
-
-
-def test_unreference():
-    np.testing.assert_array_equal(unreference((1, 2, 3), (0, 0, 0)), [1, 2, 3])
-    np.testing.assert_array_equal(unreference((1, 2, 3), (-1, -2, -3)), [0, 0, 0])
-    rng = np.random.default_rng(4)
-    p = rng.uniform(-5, 5, 3)
-    o = rng.uniform(-5, 5, 3)
-    np.testing.assert_array_equal(unreference(p - o, o), (p - o) + o)
 
 
 def test_translation_invariance_of_deltas():

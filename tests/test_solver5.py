@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from tdoaloc import (
-    PAIRING_FALLBACKS,
     AmbiguityResolution,
     DegenerateDeltasError,
     Method,
@@ -16,7 +15,7 @@ from tdoaloc import (
     reference_frame,
     solve_five_sensor,
 )
-from tdoaloc.solver5 import DEFAULT_PAIRINGS
+from tdoaloc.solver5 import DEFAULT_PAIRINGS, PAIRING_FALLBACKS
 
 CANONICAL_SENSORS = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
 CANONICAL_SOURCE = np.array([2.0, 3.0, 4.0])
