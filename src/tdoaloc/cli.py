@@ -5,8 +5,8 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -24,7 +24,6 @@ from .montecarlo import (
     DEFAULT_SCALE_GRID,
     DEFAULT_THRESHOLDS,
     ExperimentConfig,
-    SweepCell,
     SweepSummary,
     run_sweep,
     sample_scenario,
@@ -94,30 +93,6 @@ def write_sweep_csv(summary: SweepSummary, out) -> None:
         writer.writerow([repr(getattr(cell, col)) for col in CSV_COLUMNS])
 
 
-def read_sweep_cells(text: str) -> tuple[SweepCell, ...]:
-    """Parse sweep CSV back into cells (lossless for the fields it carries)."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if tuple(header) != CSV_COLUMNS:
-        raise ScenarioFormatError(f"unexpected sweep CSV header: {header}")
-    cells = []
-    for row in reader:
-        rec = dict(zip(CSV_COLUMNS, row))
-        cells.append(
-            SweepCell(
-                n_sensors=int(rec["n_sensors"]),
-                source_scale=float(rec["source_scale"]),
-                threshold=float(rec["threshold"]),
-                success_fraction=float(rec["success_fraction"]),
-                n_singular=int(rec["n_singular"]),
-                n_wrong_root=int(rec["n_wrong_root"]),
-                n_numerical=int(rec["n_numerical"]),
-                n_instances=int(rec["n_instances"]),
-            )
-        )
-    return tuple(cells)
-
-
 def write_sweep_json(summary: SweepSummary, out) -> None:
     records = [
         {col: getattr(cell, col) for col in CSV_COLUMNS} for cell in summary.cells
@@ -141,13 +116,13 @@ def _scale_grid(args) -> tuple[float, ...]:
         return tuple(_parse_floats(args.scales, "--scales"))
     if args.scale_range is not None:
         parts = _parse_floats(args.scale_range, "--scale-range")
-        if len(parts) != 3 or int(parts[2]) < 1:
+        if len(parts) != 3 or not (parts[2].is_integer() and parts[2] >= 1):
             raise InvalidConfigError(
-                f"--scale-range wants lo,hi,count with count >= 1, got {args.scale_range!r}"
+                f"--scale-range wants lo,hi,count, integer count >= 1, got {args.scale_range!r}"
             )
         lo, hi, count = parts[0], parts[1], int(parts[2])
-        if not (lo > 0.0 and hi > 0.0):
-            raise InvalidConfigError("--scale-range bounds must be positive")
+        if not (0.0 < lo < math.inf and 0.0 < hi < math.inf):
+            raise InvalidConfigError("--scale-range bounds must be finite and positive")
         if count == 1:
             return (lo,)
         return tuple(
@@ -179,17 +154,16 @@ def cmd_locate(args) -> int:
 
 def cmd_sweep(args) -> int:
     try:
-        config = ExperimentConfig(
+        summary = run_sweep(ExperimentConfig(
             n_sensors=args.sensors,
             n_instances=args.instances,
             thresholds=tuple(_parse_floats(args.thresholds, "--thresholds")),
             seed=args.seed,
             scale_grid=_scale_grid(args),
-        )
-    except InvalidConfigError as err:
+        ))
+    except LocalizationError as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_INVALID_CONFIG
-    summary = run_sweep(config)
+        return _exit_code(err)
     writers = {"csv": write_sweep_csv, "json": write_sweep_json}
     _write_out(args.out, functools.partial(writers[args.format], summary))
     return EXIT_OK
@@ -199,8 +173,8 @@ def cmd_gen(args) -> int:
     try:
         if args.sensors not in (4, 5):
             raise InvalidConfigError(f"--sensors must be 4 or 5, got {args.sensors}")
-        if not args.scale > 0.0:
-            raise InvalidConfigError(f"--scale must be positive, got {args.scale}")
+        if not 0.0 < args.scale < math.inf:
+            raise InvalidConfigError(f"--scale must be finite and positive, got {args.scale}")
         if args.seed < 0:
             raise InvalidConfigError(f"--seed must be >= 0, got {args.seed}")
         rng = np.random.default_rng(args.seed)

@@ -1,7 +1,7 @@
 """Forward model and frame bookkeeping for range-difference localization.
 
 Converts absolute sensor/source geometry into the reference-frame quantities
-the solvers consume, computes true ranges and range differences, and converts
+the solvers consume, computes range differences, and converts
 arrival-time differences to range differences. Also owns the scenario
 document format shared with the CLI.
 
@@ -81,10 +81,13 @@ class SensorArray:
 
 @dataclass(frozen=True)
 class ReferencedArray:
-    """Sensor positions relative to the reference sensor, plus the origin."""
+    """Sensor positions relative to the reference sensor, the origin, and
+    the squared baselines both solvers assemble their rows from."""
 
     rel_positions: np.ndarray  # (n, 3); row 0 is exactly zero
     origin: np.ndarray  # (3,), the absolute reference-sensor position
+    sq: tuple[float, ...]  # squared norm of each rel_positions row; sq[0] is 0.0
+    baseline: float  # longest reference baseline, sqrt(max(sq)), m
 
 
 @dataclass(frozen=True)
@@ -145,18 +148,19 @@ def _check_clearance(sensors: SensorArray, source) -> None:
 def reference_frame(sensors: SensorArray) -> ReferencedArray:
     """Rebase the array on its reference sensor (sensor 0 at the origin)."""
     origin = sensors.positions[0].copy()
-    return _record(ReferencedArray, rel_positions=sensors.positions - origin, origin=origin)
-
-
-def true_ranges(scenario: Scenario) -> np.ndarray:
-    """Distances (m) from the source to every sensor, reference first."""
-    pos = scenario.sensors.positions.tolist()
-    return np.sqrt(_squared_distances(pos, scenario.source.tolist()))
+    rel = sensors.positions - origin
+    # einsum, as the batch path sums its rows; row 0 is zero, so the largest
+    # squared norm is the longest baseline's.
+    sq = tuple(np.einsum("ij,ij->i", rel, rel).tolist())
+    return _record(ReferencedArray, rel_positions=rel, origin=origin, sq=sq,
+                   baseline=math.sqrt(max(sq)))
 
 
 def range_differences(scenario: Scenario) -> RangeDifferences:
-    """Noise-free forward model: range differences against the reference."""
-    rho = true_ranges(scenario).tolist()
+    """Noise-free forward model: range differences against the reference.
+    Raises ValueError if a range overflows (a source beyond about 1e154 m)."""
+    sq = _squared_distances(scenario.sensors.positions.tolist(), scenario.source.tolist())
+    rho = [math.sqrt(v) for v in sq]
     return RangeDifferences(deltas=np.array([r - rho[0] for r in rho[1:]]))
 
 

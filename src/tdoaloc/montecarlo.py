@@ -6,7 +6,8 @@ runs the matching solver on noise-free forward-modelled range differences and
 is scored by relative position error against one or more thresholds. Failures
 are attributed, per threshold, to singular geometry, a wrong quadratic root
 (the losing candidate is within the threshold of truth), or plain numerical
-error.
+error. ``_outcomes`` is that rule, as integer codes for whole batches, which
+a sweep counts with one ``np.bincount`` per threshold.
 
 Instances are seeded independently via a splittable hash of
 (seed, scale index, instance index), so sweeps are reproducible bit-for-bit
@@ -20,16 +21,16 @@ samples, solves and scores the batch's instances as numpy array rows, with
 the same floating-point operations as ``run_instance``. Rows it cannot
 prove generic (a rejected draw, a singular pivot, a tangent or clamped root,
 a linear fallback, a cleared row or pairing retry, ...) are rerun one by one
-through ``sample_scenario`` and ``run_instance``, so every edge case has one
-implementation and the tallies equal a one-by-one pass bit for bit. The
-scalar functions stay the API for single instances.
+through ``sample_scenario`` and ``run_instance``, whose codes replace the
+batch's for those rows, so every edge case has one implementation and the
+tallies equal a one-by-one pass bit for bit. The scalar functions stay the
+API for single instances.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -62,6 +63,20 @@ class FailureCause(Enum):
     NUMERICAL_ERROR = "numerical_error"
 
 
+# Outcome code i stands for _CAUSES[i]: 0 success, 1 singular geometry,
+# 2 wrong root, 3 numerical error; SweepCell's counts are in this order.
+_CAUSES = (None, *FailureCause)
+
+
+def _outcomes(rel_error, losing, thresholds) -> np.ndarray:
+    """Outcome codes, ``(thresholds, rows)``, of estimates with relative
+    errors ``rel_error`` whose nearest other candidate has ``losing``: a
+    success below the threshold, else a wrong root if ``losing`` is below
+    it, else a numerical error."""
+    t = np.asarray(thresholds)[:, None]
+    return np.where(rel_error < t, 0, np.where(losing < t, 2, 3))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Sweep parameters; validated on construction."""
@@ -88,10 +103,12 @@ class ExperimentConfig:
             )
         if self.seed < 0:
             raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
-        if not self.thresholds or any(not t > 0.0 for t in self.thresholds):
-            raise InvalidConfigError(f"thresholds must be positive, got {self.thresholds}")
-        if not self.scale_grid or any(not s > 0.0 for s in self.scale_grid):
-            raise InvalidConfigError(f"scales must be positive, got {self.scale_grid}")
+        if not self.thresholds or not all(0.0 < t < math.inf for t in self.thresholds):
+            raise InvalidConfigError(
+                f"thresholds must be finite and positive, got {self.thresholds}"
+            )
+        if not self.scale_grid or not all(0.0 < s < math.inf for s in self.scale_grid):
+            raise InvalidConfigError(f"scales must be finite and positive, got {self.scale_grid}")
 
 
 @dataclass(frozen=True)
@@ -113,7 +130,7 @@ class SweepCell:
     source_scale: float
     threshold: float
     success_fraction: float
-    n_singular: int
+    n_singular: int  # the three failure counts, in _CAUSES order
     n_wrong_root: int
     n_numerical: int
     n_instances: int
@@ -162,13 +179,14 @@ def run_instance(scenario: Scenario, thresholds) -> InstanceResult:
     """Forward-model, solve, and score one scenario against the thresholds.
 
     A failure at threshold T is a wrong root when a candidate other than the
-    estimate lies within T of truth, and a numerical error otherwise.
+    estimate lies within T of truth, and a numerical error otherwise. A
+    forward model that overflows (a source too far out for finite range
+    differences) is a numerical error at every threshold.
     """
     thresholds = tuple(float(t) for t in thresholds)
-    deltas = range_differences(scenario)
     try:
-        estimate = localize(scenario.sensors, deltas)
-    except LocalizationError as err:
+        estimate = localize(scenario.sensors, range_differences(scenario))
+    except (LocalizationError, ValueError) as err:
         if isinstance(err, (SingularMatrixError, DegenerateDeltasError)):
             cause = FailureCause.SINGULAR_GEOMETRY
         else:
@@ -179,20 +197,13 @@ def run_instance(scenario: Scenario, thresholds) -> InstanceResult:
     truth = scenario.source
     truth_norm = float(np.linalg.norm(truth))
     rel_error = _rel_error(estimate.position, truth, truth_norm)
-    success = tuple(rel_error < t for t in thresholds)
-
-    losing = math.inf
-    if not all(success):
-        for cand in estimate.candidates:
-            if not np.array_equal(cand.position, estimate.position):
-                losing = min(losing, _rel_error(cand.position, truth, truth_norm))
-    causes = tuple(
-        None if ok
-        else FailureCause.WRONG_ROOT if losing < t
-        else FailureCause.NUMERICAL_ERROR
-        for ok, t in zip(success, thresholds)
+    losing = min(
+        (_rel_error(cand.position, truth, truth_norm) for cand in estimate.candidates
+         if not np.array_equal(cand.position, estimate.position)),
+        default=math.inf,
     )
-    return InstanceResult(estimate, None, rel_error, success, causes)
+    causes = tuple(_CAUSES[c] for c in _outcomes([rel_error], [losing], thresholds)[:, 0])
+    return InstanceResult(estimate, None, rel_error, tuple(c is None for c in causes), causes)
 
 
 def _rel_error(position: np.ndarray, truth: np.ndarray, truth_norm: float) -> float:
@@ -210,8 +221,9 @@ def run_sweep(config: ExperimentConfig) -> SweepSummary:
     ``_streams.uniforms`` computes for the whole batch without building the
     generators. The rows a batch cannot prove generic are rerun one by one
     through ``sample_scenario`` on their ``instance_rng`` generators and
-    ``run_instance``. The tallies equal a one-by-one pass bit for bit, and
-    memory does not grow with ``n_instances``.
+    ``run_instance``, whose outcome codes replace the batch's. The tallies
+    equal a one-by-one pass bit for bit, and memory does not grow with
+    ``n_instances``.
     """
     # Imported here, not at module level, so that importing the package for
     # single solves (``tdoaloc locate``) does not load the batch code.
@@ -221,7 +233,7 @@ def run_sweep(config: ExperimentConfig) -> SweepSummary:
     width = 3 * config.n_sensors + 3
     cells = []
     for si, scale in enumerate(config.scale_grid):
-        tallies = [Counter() for _ in config.thresholds]
+        tallies = np.zeros((len(config.thresholds), len(_CAUSES)), dtype=np.int64)
         for first in range(0, n, BATCH_ROWS):
             draws = _streams.uniforms(
                 config.seed, si, first, min(first + BATCH_ROWS, n), width
@@ -229,33 +241,15 @@ def run_sweep(config: ExperimentConfig) -> SweepSummary:
             generic, _, rel_error, losing = _batch.solve_scale(
                 draws, config.n_sensors, scale
             )
-            # run_instance's causes, counted over the generic rows.
-            for tally, t in zip(tallies, config.thresholds):
-                ok = rel_error < t
-                wrong = ~ok & (losing < t)
-                tally[None] += int(np.count_nonzero(generic & ok))
-                tally[FailureCause.WRONG_ROOT] += int(np.count_nonzero(generic & wrong))
-                tally[FailureCause.NUMERICAL_ERROR] += int(
-                    np.count_nonzero(generic & ~ok & ~wrong)
-                )
+            codes = _outcomes(rel_error, losing, config.thresholds)
             for k in np.flatnonzero(~generic).tolist():
                 scenario = sample_scenario(
                     instance_rng(config.seed, si, first + k), config.n_sensors, scale
                 )
                 result = run_instance(scenario, config.thresholds)
-                for tally, cause in zip(tallies, result.failure_causes):
-                    tally[cause] += 1
-        for threshold, tally in zip(config.thresholds, tallies):
-            cells.append(
-                SweepCell(
-                    n_sensors=config.n_sensors,
-                    source_scale=scale,
-                    threshold=threshold,
-                    success_fraction=tally[None] / n,
-                    n_singular=tally[FailureCause.SINGULAR_GEOMETRY],
-                    n_wrong_root=tally[FailureCause.WRONG_ROOT],
-                    n_numerical=tally[FailureCause.NUMERICAL_ERROR],
-                    n_instances=n,
-                )
-            )
+                codes[:, k] = [_CAUSES.index(c) for c in result.failure_causes]
+            for tally, row in zip(tallies, codes):
+                tally += np.bincount(row, minlength=len(_CAUSES))
+        for threshold, (n_ok, *failures) in zip(config.thresholds, tallies.tolist()):
+            cells.append(SweepCell(config.n_sensors, scale, threshold, n_ok / n, *failures, n))
     return SweepSummary(config=config, cells=tuple(cells))

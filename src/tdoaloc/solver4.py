@@ -84,13 +84,11 @@ def build_four_sensor_system(
     deltas = as_range_differences(deltas)
     if rel.rel_positions.shape[0] != 4 or deltas.n_sensors != 4:
         raise ValueError("four-sensor build needs 4 sensors and 3 range differences")
-    r = rel.rel_positions
-    sq = np.einsum("ij,ij->i", r, r).tolist()[1:]
     d = deltas.deltas.tolist()
 
-    matrix = -2.0 * r[1:]
+    matrix = -2.0 * rel.rel_positions[1:]
     # Rows: the range vector, then the constant vector.
-    rhs = np.array([[2.0 * v for v in d], [s - v * v for s, v in zip(sq, d)]])
+    rhs = np.array([[2.0 * v for v in d], [s - v * v for s, v in zip(rel.sq[1:], d)]])
     line, pivots = solve3_pivoted(matrix, rhs.T)
     slope, offset = line.T
     return FourSensorSystem(
@@ -99,7 +97,7 @@ def build_four_sensor_system(
         const_vector=rhs[1],
         slope=slope,
         offset=offset,
-        baseline=math.sqrt(max(sq)),
+        baseline=rel.baseline,
         pivots=pivots,
     )
 
@@ -223,14 +221,10 @@ def resolve_ambiguity(
         r0, r1 = scored[0].residual, scored[1].residual
         if abs(r0 - r1) <= EPS_TIE * max(abs(r0), abs(r1)):
             best = 0
-        # Smallest rho + d_i over both candidates. The baseline-relative slack
-        # matters only when it is negative; row 0 of the referenced array is
-        # zero, so the largest row norm is the longest baseline.
+        # Smallest rho + d_i over both candidates, against the admissibility
+        # slack below zero.
         margin = min(c.reference_range for c in scored) + min(d)
-        ambiguous = margin >= 0.0
-        if not ambiguous:
-            sq = np.einsum("ij,ij->i", rel.rel_positions, rel.rel_positions)
-            ambiguous = margin >= -EPS_RHO_REL * math.sqrt(float(np.max(sq)))
+        ambiguous = margin >= -EPS_RHO_REL * rel.baseline
     return LocalizationResult(
         position=scored[best].position,
         method=Method.FOUR_SENSOR,
@@ -248,8 +242,6 @@ def solve_four_sensor(sensors: SensorArray, deltas) -> LocalizationResult:
         NoCandidatesError: see the individual pipeline steps.
     """
     deltas = as_range_differences(deltas)
-    if sensors.n_sensors != 4 or deltas.n_sensors != 4:
-        raise ValueError("four-sensor solve needs 4 sensors and 3 range differences")
     rel = reference_frame(sensors)
     system = build_four_sensor_system(rel, deltas)
     roots = solve_reference_range(system)

@@ -36,6 +36,11 @@ EPS_DELTA = 1e-9
 # the measurements of sensors k and j.
 DEFAULT_PAIRINGS = ((2, 1), (3, 2), (4, 3))
 
+_ALL_DEGENERATE = (
+    "no sensor pairing yields a nonzero equation; the source is on a "
+    "multi-sensor symmetry locus"
+)
+
 
 @dataclass(frozen=True)
 class FiveSensorSystem:
@@ -58,8 +63,10 @@ PAIRING_FALLBACKS = tuple(
 )
 
 
-def _build(r, sq, d, switch: float, pairings, row_form: str) -> FiveSensorSystem:
-    # Python floats: r and sq are the referenced rows and their squared norms.
+def _build(r, sq, d, switch: float, pairings, row_form: str) -> FiveSensorSystem | None:
+    """The system of one pairing set on Python floats (``r`` and ``sq`` are
+    the referenced rows and their squared norms), or None if a pairing has
+    two vanishing range differences and so carries no position information."""
     rows = []
     rhs = []
     scaled = []
@@ -68,10 +75,7 @@ def _build(r, sq, d, switch: float, pairings, row_form: str) -> FiveSensorSystem
         dj = d[j - 1]
         if row_form == "auto":
             if max(abs(dk), abs(dj)) < switch:
-                raise DegenerateDeltasError(
-                    f"both range differences vanish for sensor pairing ({k}, {j}); "
-                    "the pairing carries no position information"
-                )
+                return None
             use_literal = min(abs(dk), abs(dj)) >= switch
         else:
             use_literal = row_form == "literal"
@@ -93,33 +97,16 @@ def _build(r, sq, d, switch: float, pairings, row_form: str) -> FiveSensorSystem
 
 def _pairing_systems(rel: ReferencedArray, deltas: np.ndarray, row_form: str):
     """Yield ``(attempt, system)`` for each pairing set of PAIRING_FALLBACKS
-    that is not degenerate, where ``attempt`` is the set's index.
-
-    Raises:
-        DegenerateDeltasError: if every pairing set is degenerate.
-    """
-    r = rel.rel_positions
-    sq = np.einsum("ij,ij->i", r, r).tolist()
-    switch = EPS_DELTA * math.sqrt(max(sq[1:]))
-    rows = r.tolist()
+    that is not degenerate, where ``attempt`` is the set's index. Yields
+    nothing if every set is degenerate; each caller then raises
+    ``DegenerateDeltasError(_ALL_DEGENERATE)``."""
+    switch = EPS_DELTA * rel.baseline
+    rows = rel.rel_positions.tolist()
     d = deltas.tolist()
-    found = False
-    last_err = None
     for attempt, pairings in enumerate(PAIRING_FALLBACKS):
-        try:
-            system = _build(rows, sq, d, switch, pairings, row_form)
-        except DegenerateDeltasError as err:
-            # Without its traceback: that holds this frame, which would hold
-            # the error, a cycle only the garbage collector frees.
-            last_err = err.with_traceback(None)
-            continue
-        found = True
-        yield attempt, system
-    if not found:
-        raise DegenerateDeltasError(
-            "no sensor pairing yields a nonzero equation; the source is on a "
-            "multi-sensor symmetry locus"
-        ) from last_err
+        system = _build(rows, rel.sq, d, switch, pairings, row_form)
+        if system is not None:
+            yield attempt, system
 
 
 def build_five_sensor_system(
@@ -136,15 +123,17 @@ def build_five_sensor_system(
     magnitudes.
 
     Raises:
-        DegenerateDeltasError: if no pairing set yields three informative rows.
+        DegenerateDeltasError: if every pairing set has a pairing whose two
+            range differences vanish.
     """
     if row_form not in ("auto", "literal", "cleared"):
         raise ValueError(f"unknown row_form {row_form!r}")
     deltas = as_range_differences(deltas)
     if rel.rel_positions.shape[0] != 5 or deltas.n_sensors != 5:
         raise ValueError("five-sensor build needs 5 sensors and 4 range differences")
-    _, system = next(_pairing_systems(rel, deltas.deltas, row_form))
-    return system
+    for _, system in _pairing_systems(rel, deltas.deltas, row_form):
+        return system
+    raise DegenerateDeltasError(_ALL_DEGENERATE)
 
 
 def solve_five_sensor(sensors: SensorArray, deltas) -> LocalizationResult:
@@ -171,7 +160,9 @@ def solve_five_sensor(sensors: SensorArray, deltas) -> LocalizationResult:
         try:
             ref_position, pivots = solve3_pivoted(system.matrix, system.rhs)
         except SingularMatrixError as err:
-            singular_err = err.with_traceback(None)  # no cycle, as in _pairing_systems
+            # Without its traceback: that holds this frame, which would hold
+            # the error, a cycle only the garbage collector frees.
+            singular_err = err.with_traceback(None)
             continue
         position = ref_position + rel.origin
         if not all(map(math.isfinite, position.tolist())):
@@ -192,6 +183,8 @@ def solve_five_sensor(sensors: SensorArray, deltas) -> LocalizationResult:
                 "pairing_retries": attempt,
             },
         )
+    if singular_err is None:  # no pairing set was tried
+        raise DegenerateDeltasError(_ALL_DEGENERATE)
     raise SingularMatrixError(
         f"five-sensor position system is singular for every pairing set: {singular_err}"
     ) from singular_err

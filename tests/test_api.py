@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import tdoaloc
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
@@ -97,12 +99,23 @@ def test_demo_names_resolve_at_the_root():
     assert used
 
 
+def _subprocess_env() -> dict:
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+
+
+# success_fraction_sweep.py is left out: it writes a CSV and a PNG into demos/.
+@pytest.mark.parametrize("demo", ["exact_localization.py", "degenerate_and_ambiguous.py"])
+def test_demo_runs(demo):
+    proc = subprocess.run([sys.executable, str(DEMOS / demo)], capture_output=True,
+                          text=True, env=_subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_import_loads_the_cli_module():
     # The benchmark's per-layer tracer finds the CLI layer in sys.modules
     # after a plain ``import tdoaloc``.
     out = subprocess.run(
         [sys.executable, "-c", "import sys, tdoaloc; print('tdoaloc.cli' in sys.modules)"],
-        capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)},
+        capture_output=True, text=True, check=True, env=_subprocess_env(),
     ).stdout.strip()
     assert out == "True"

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -13,7 +15,6 @@ from tdoaloc.cli import (
     EXIT_PARSE_ERROR,
     EXIT_SINGULAR,
     main,
-    read_sweep_cells,
 )
 
 CANONICAL_5 = {
@@ -26,6 +27,17 @@ def _write(tmp_path, obj, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+def _sweep_records(text):
+    """The records of a sweep CSV, each a dict of ints (``n_*`` columns) and
+    floats keyed by column."""
+    header, *rows = csv.reader(io.StringIO(text))
+    assert tuple(header) == CSV_COLUMNS
+    return [
+        {col: (int if col.startswith("n_") else float)(v) for col, v in zip(header, row)}
+        for row in rows
+    ]
 
 
 def _position_from_report(text):
@@ -188,15 +200,16 @@ def test_sweep_csv_deterministic_and_parseable(tmp_path, capsys):
     assert out1 == out2
     assert out1.splitlines()[0] == ",".join(CSV_COLUMNS)
 
-    cells = read_sweep_cells(out1)
+    records = _sweep_records(out1)
     direct = run_sweep(
         ExperimentConfig(
             n_sensors=5, n_instances=20, seed=7,
             thresholds=(1e-6, 1e-3), scale_grid=(0.01, 1.0),
         )
     )
-    assert cells == direct.cells  # lossless round trip
-    assert {c.threshold for c in cells} == {1e-6, 1e-3}
+    # Lossless round trip: every field of every cell, floats to the bit.
+    assert records == [{col: getattr(c, col) for col in CSV_COLUMNS} for c in direct.cells]
+    assert {r["threshold"] for r in records} == {1e-6, 1e-3}
 
 
 def test_sweep_json_format(tmp_path):
@@ -219,10 +232,15 @@ def test_sweep_scale_range_flag(tmp_path):
         "--thresholds", "1e-3", "--out", str(out_path), "--seed", "1",
     ]
     assert main(args) == EXIT_OK
-    cells = read_sweep_cells(out_path.read_text())
+    records = _sweep_records(out_path.read_text())
     np.testing.assert_allclose(
-        [c.source_scale for c in cells], [1e-4, 1e-2, 1.0], rtol=1e-12
+        [r["source_scale"] for r in records], [1e-4, 1e-2, 1.0], rtol=1e-12
     )
+    direct = run_sweep(ExperimentConfig(
+        n_sensors=5, n_instances=5, seed=1, thresholds=(1e-3,),
+        scale_grid=tuple(r["source_scale"] for r in records),
+    ))
+    assert records == [{col: getattr(c, col) for col in CSV_COLUMNS} for c in direct.cells]
 
 
 def test_sweep_invalid_configs(capsys):
@@ -238,6 +256,28 @@ def test_sweep_invalid_configs(capsys):
     capsys.readouterr()
     assert main(["sweep", "--instances", str(2**32 + 1)]) == EXIT_INVALID_CONFIG
     capsys.readouterr()
+    # Non-finite and fractional values: one error line each, no traceback.
+    for flags in (
+        ["--scale-range", "1e-4,1,nan"],
+        ["--scale-range", "1e-4,1,inf"],
+        ["--scale-range", "1e-4,1,2.5"],
+        ["--scale-range", "inf,1,3"],
+        ["--scales", "inf"],
+        ["--scales", "nan"],
+        ["--thresholds", "inf"],
+    ):
+        assert main(["sweep", *flags]) == EXIT_INVALID_CONFIG, flags
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, flags
+
+
+def test_sweep_far_source_counts_numerical_failures(capsys):
+    # Ranges overflow at this scale; every instance is a numerical failure.
+    assert main(["sweep", "--scales", "1e300", "--instances", "3"]) == EXIT_OK
+    records = _sweep_records(capsys.readouterr().out)
+    assert len(records) == 2
+    assert all(r["n_numerical"] == 3 and r["success_fraction"] == 0.0 for r in records)
 
 
 @pytest.mark.parametrize("command", ["sweep", "gen"])
@@ -304,3 +344,6 @@ def test_gen_rejects_bad_sensor_count(capsys):
     capsys.readouterr()
     assert main(["gen", "--sensors", "5", "--scale", "0"]) == EXIT_INVALID_CONFIG
     capsys.readouterr()
+    for scale in ("inf", "nan"):
+        assert main(["gen", "--sensors", "5", "--scale", scale]) == EXIT_INVALID_CONFIG
+        capsys.readouterr()

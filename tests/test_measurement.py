@@ -17,7 +17,7 @@ from tdoaloc import (
     reference_frame,
     write_scenario,
 )
-from tdoaloc.measurement import _squared_distances, true_ranges
+from tdoaloc.measurement import _squared_distances
 
 CANONICAL_SENSORS_5 = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
 CANONICAL_SOURCE = (2, 3, 4)
@@ -36,11 +36,14 @@ def _distance_oracle_deltas(sensors, source):
 
 
 def test_reference_frame_subtracts_first_sensor():
-    arr = SensorArray([(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2)])
+    arr = SensorArray([(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 3)])
     rel = reference_frame(arr)
     np.testing.assert_array_equal(rel.origin, [1.0, 1.0, 1.0])
     np.testing.assert_array_equal(rel.rel_positions[0], [0.0, 0.0, 0.0])
     np.testing.assert_array_equal(rel.rel_positions[1], [1.0, 0.0, 0.0])
+    # Squared baselines, reference first, and the longest baseline.
+    assert rel.sq == (0.0, 1.0, 1.0, 4.0)
+    assert rel.baseline == 2.0
 
 
 def test_reference_frame_identity_when_already_referenced():
@@ -59,17 +62,17 @@ def test_reference_frame_first_row_always_zero():
 
 
 def test_true_ranges_simple():
+    # Ranges 5 (reference) and 2 (sensor 3) are exact.
     arr = SensorArray([(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3)])
     sc = Scenario(sensors=arr, source=(0, 0, 5))
-    assert true_ranges(sc)[0] == 5.0
+    assert range_differences(sc).deltas[2] == -3.0
 
 
 def test_true_ranges_pythagorean():
+    # Ranges 5 (reference, a 3-4-5 triangle) and 4 (sensor 1) are exact.
     arr = SensorArray([(0, 0, 0), (3, 0, 0), (0, 1, 0), (0, 0, 1)])
     sc = Scenario(sensors=arr, source=(3, 4, 0))
-    rho = true_ranges(sc)
-    assert rho[0] == 5.0 and rho[1] == 4.0
-    assert np.all(rho > 0)
+    assert range_differences(sc).deltas[0] == -1.0
 
 
 def test_range_differences_symmetry_zero():
@@ -137,7 +140,7 @@ def test_translation_invariance_of_deltas():
         sc2 = Scenario(sensors=SensorArray(pos + shift), source=src + shift)
         d1 = range_differences(sc).deltas
         d2 = range_differences(sc2).deltas
-        scale = float(np.max(true_ranges(sc2)))
+        scale = float(np.max(np.linalg.norm(sc2.sensors.positions - sc2.source, axis=1)))
         assert np.max(np.abs(d1 - d2)) <= 1e-12 * scale
 
 

@@ -33,6 +33,10 @@ def test_config_validation():
         ExperimentConfig(scale_grid=(1.0, 0.0))
     with pytest.raises(InvalidConfigError):
         ExperimentConfig(scale_grid=())
+    for bad in (dict(scale_grid=(1.0, np.inf)), dict(scale_grid=(np.nan,)),
+                dict(thresholds=(np.inf,)), dict(thresholds=(1e-3, np.nan))):
+        with pytest.raises(InvalidConfigError):
+            ExperimentConfig(**bad)
     with pytest.raises(InvalidConfigError):
         ExperimentConfig(n_instances=mc.MAX_INSTANCES + 1)
     for seed in (-1, 1.0, True, "3", None):
@@ -163,6 +167,21 @@ def test_failure_cause_is_per_threshold():
     assert res.success_at == (False, False)
     assert res.estimate.ambiguous
     assert res.failure_causes == (FailureCause.NUMERICAL_ERROR, FailureCause.WRONG_ROOT)
+
+
+def test_far_source_is_a_numerical_failure():
+    # Ranges beyond the float range: the forward model cannot give finite
+    # range differences, which counts as a numerical error, not a crash.
+    arr = SensorArray([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    res = run_instance(Scenario(sensors=arr, source=(1e200, 0.0, 0.0)), (1e-6, 1e-3))
+    assert res.estimate is None and res.rel_error is None
+    assert res.success_at == (False, False)
+    assert res.failure_causes == (FailureCause.NUMERICAL_ERROR,) * 2
+    assert "finite" in res.error
+    # The sweep completes (tests/test_cli.py runs the five-sensor one).
+    cfg = ExperimentConfig(n_sensors=4, n_instances=3, scale_grid=(1e300,))
+    for cell in run_sweep(cfg).cells:
+        assert (cell.success_fraction, cell.n_numerical) == (0.0, 3)
 
 
 def test_run_sweep_single_trivial_instance():

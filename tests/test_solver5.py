@@ -152,6 +152,8 @@ def test_all_zero_deltas_degenerate():
     np.testing.assert_array_equal(d.deltas, np.zeros(4))
     with pytest.raises(DegenerateDeltasError):
         solve_five_sensor(arr, d)
+    with pytest.raises(DegenerateDeltasError):
+        build_five_sensor_system(reference_frame(arr), d)
 
 
 def test_collinear_sensors_singular():
