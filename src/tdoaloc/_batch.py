@@ -1,16 +1,19 @@
 """Batch scoring of sweep instances for :func:`tdoaloc.montecarlo.run_sweep`.
 
-The solvers are closed-form, so the instances of one sweep scale can run as
-the rows of numpy arrays. This module transcribes the generic path of the
-scalar pipeline (sampling, forward model, solver, scoring) with, per row,
-the floating-point operations the scalar code performs, so every result it
-returns is bit-identical to ``run_instance``'s:
+The solvers are closed-form, so the instances of one sweep scale run as the
+rows of numpy arrays, with per row the floating-point operations of the
+scalar pipeline (sampling, forward model, solver, scoring): every result is
+bit-identical to ``run_instance``'s. The arrays are structures of arrays:
+each coordinate, matrix entry or right-hand side is an ``(N,)`` column, and
+a row swap is a ``np.where`` between columns. Elementwise arithmetic keeps
+the scalar order of operations; the reductions follow the scalar code:
 
-- elementwise arithmetic keeps the scalar order of operations;
-- each row reduction calls the numpy routine the scalar code calls, with a
-  batch axis in front (``np.sum`` for ``np.sum``, ``np.einsum`` for
-  ``np.einsum``), and every 1-D ``@`` and ``np.linalg.norm`` becomes
-  :func:`_row_dot`, which rounds like the 1-D ``@``.
+- squared distances (sensor pairs, source gaps, candidate ranges) are the
+  column sums ``(x + y) + z`` of the scalar Python sums;
+- squared baselines stay ``np.einsum`` on ``(N, n, 3)`` rows, as in
+  ``reference_frame`` (a column sum differs on about a fifth of the rows);
+- every 1-D ``@`` and ``np.linalg.norm`` (the quadratic's coefficients,
+  residuals, relative errors) stays :func:`_row_dot` on ``(N, 3)`` rows.
 
 A row is generic when the scalar path would take no branch but the plain
 one: the first draw is valid, every elimination pivot passes the rank test,
@@ -22,6 +25,8 @@ so each edge case keeps its one, scalar, implementation.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .geom3 import EPS_RANK
@@ -31,6 +36,8 @@ from .solver5 import DEFAULT_PAIRINGS, EPS_DELTA
 
 # Upper-triangle (i < j) index pairs per supported array size.
 _SENSOR_PAIRS = {n: np.triu_indices(n, k=1) for n in (4, 5)}
+# The sensors k and j of the default five-sensor pairings (k, j).
+_PAIR_K, _PAIR_J = np.array(DEFAULT_PAIRINGS).T
 
 
 def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -43,124 +50,119 @@ def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
 
 
-def _solve3(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``solve3_pivoted`` on ``(N, 3, 3)`` matrices and ``(N, 3, k)`` right-hand
-    sides: the same pivot choice, rank test and elimination per row.
+def _col_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """:func:`_row_dot` of ``(k, N)`` columns, on contiguous ``(N, k)`` rows."""
+    return _row_dot(np.ascontiguousarray(x.T), np.ascontiguousarray(y.T))
 
-    Returns the ``(N, 3, k)`` solutions and an ``(N,)`` mask of the rows
-    whose every pivot passed the rank test (the others raise in the scalar
-    solve, and their solutions are meaningless).
-    """
-    a = matrix.copy()
-    b = rhs.copy()
-    rows = np.arange(len(a))
-    scale = np.max(np.abs(a), axis=(1, 2))
-    tol = EPS_RANK * scale
-    ok = scale != 0.0
-    for col in range(3):
-        p = col + np.argmax(np.abs(a[:, col:, col]), axis=1)
-        piv = a[rows, p, col]
-        ok &= np.abs(piv) >= tol
-        a[rows, p], a[:, col] = a[:, col].copy(), a[rows, p]
-        b[rows, p], b[:, col] = b[:, col].copy(), b[rows, p]
-        for r in range(col + 1, 3):
-            f = a[:, r, col] / piv
-            # The scalar solve skips a zero factor; subtracting 0 * x could
-            # still flip the sign of a zero entry.
-            skip = (f == 0.0)[:, None]
-            fc = f[:, None]
-            a[:, r, col + 1:] = np.where(
-                skip, a[:, r, col + 1:], a[:, r, col + 1:] - fc * a[:, col, col + 1:]
-            )
-            b[:, r] = np.where(skip, b[:, r], b[:, r] - fc * b[:, col])
-    x2 = b[:, 2] / a[:, 2, 2, None]
-    x1 = (b[:, 1] - a[:, 1, 2, None] * x2) / a[:, 1, 1, None]
-    x0 = (b[:, 0] - a[:, 0, 1, None] * x1 - a[:, 0, 2, None] * x2) / a[:, 0, 0, None]
-    return np.stack((x0, x1, x2), axis=1), ok
+
+def _sq_norm3(diff: np.ndarray) -> np.ndarray:
+    """``(x * x + y * y) + z * z`` over axis -2 of ``(..., 3, N)`` columns,
+    squaring ``diff`` in place."""
+    np.square(diff, out=diff)
+    total = diff[..., 0, :] + diff[..., 1, :]
+    total += diff[..., 2, :]
+    return total
+
+
+def _eliminate(s: np.ndarray, col: int) -> None:
+    """Eliminate column ``col`` below its pivot row, in place."""
+    f = s[col + 1:, col] / s[col, col]
+    # The scalar solve skips a zero factor; subtracting 0 * x could still
+    # flip the sign of a zero entry.
+    below = s[col + 1:, col + 1:]
+    np.copyto(below, below - f[:, None] * s[col, col + 1:], where=(f != 0.0)[:, None])
+
+
+def _solve3(system: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``solve3_pivoted`` per row on augmented systems ``[a | b]``, a
+    ``(3, 3 + k, N)`` array of columns, which it overwrites. Returns the
+    ``(3, k, N)`` solutions and an ``(N,)`` mask of the rows whose every pivot
+    passed the rank test (the others raise in the scalar solve)."""
+    s = system
+    mag = np.abs(s[:, :3])
+    # fmax skips NaNs, as Python's max does after a first entry that is not
+    # NaN; a NaN first entry fails the first pivot test either way.
+    tol = np.maximum(EPS_RANK * np.fmax.reduce(mag.reshape(9, -1), axis=0), math.ulp(0.0))
+    # A later row takes the pivot only when strictly larger.
+    to1 = mag[1, 0] > mag[0, 0]
+    to2 = mag[2, 0] > np.where(to1, mag[1, 0], mag[0, 0])
+    to1 &= ~to2
+    pivot_row = np.where(to2, s[2], np.where(to1, s[1], s[0]))
+    s[1:] = np.where(np.stack((to1, to2))[:, None], s[0], s[1:])
+    s[0] = pivot_row
+    _eliminate(s, 0)
+    swap = np.abs(s[2, 1]) > np.abs(s[1, 1])
+    s[1:, 1:] = np.where(swap, s[2:0:-1, 1:], s[1:, 1:])
+    _eliminate(s, 1)
+    # The pivots are the diagonal, which later steps leave as it was.
+    ok = (np.abs(s[(0, 1, 2), (0, 1, 2)]) >= tol).all(axis=0)
+    x2 = s[2, 3:] / s[2, 2]
+    x1 = (s[1, 3:] - s[1, 2] * x2) / s[1, 1]
+    x0 = (s[0, 3:] - s[0, 1] * x1 - s[0, 2] * x2) / s[0, 0]
+    return np.stack((x0, x1, x2)), ok
 
 
 def _rel_error(position: np.ndarray, truth: np.ndarray, truth_norm: np.ndarray) -> np.ndarray:
     err = position - truth
-    return np.sqrt(_row_dot(err, err)) / truth_norm
+    return np.sqrt(_col_dot(err, err)) / truth_norm
 
 
-def _four_sensor(rel, origin, d, source, truth_norm):
+def _four_sensor(rel, sq, origin, d, source, truth_norm):
     """Generic four-sensor rows: line solve, quadratic, candidates, pick."""
-    sq = np.einsum("nij,nij->ni", rel, rel)
-    rhs = np.stack((2.0 * d, sq[:, 1:] - d * d), axis=2)
-    line, generic = _solve3(-2.0 * rel[:, 1:], rhs)
-    # Contiguous rows, like the scalar slope and offset, for the same dot kernel.
-    slope = np.ascontiguousarray(line[:, :, 0])
-    offset = np.ascontiguousarray(line[:, :, 1])
+    rhs = np.stack((2.0 * d, sq[1:] - d * d), axis=1)
+    line, generic = _solve3(np.concatenate((-2.0 * rel[1:], rhs), axis=1))
+    slope, offset = line[:, 0], line[:, 1]
 
-    xx = _row_dot(slope, slope)
+    xx = _col_dot(slope, slope)
     a = xx - 1.0
-    b_half = _row_dot(slope, offset)
-    c_coef = _row_dot(offset, offset)
+    b_half = _col_dot(slope, offset)
+    c_coef = _col_dot(offset, offset)
     disc = b_half * b_half - a * c_coef
     # A vanishing leading coefficient (linear fallback) and a discriminant
     # at or below zero (tangency, clamp or no real root) go to the scalar path.
     generic &= ~(np.abs(a) < EPS_LIN * (xx + 1.0)) & (disc > 0.0)
     sqrt_disc = np.sqrt(disc)
     q = np.where(b_half >= 0.0, b_half + sqrt_disc, b_half - sqrt_disc)
-    roots = np.stack((q / a, c_coef / q), axis=1)
+    roots = np.stack((q / a, c_coef / q))
 
     # A root is kept when nonnegative and dropped when below -eps_rho; one in
     # between is clamped to zero, and two equal roots merge, which the scalar
     # path handles, as it does a row with no root kept.
-    eps_rho = EPS_RHO_REL * np.sqrt(np.max(sq[:, 1:], axis=1))
+    eps_rho = EPS_RHO_REL * np.sqrt(np.max(sq[1:], axis=0))
     kept = roots >= 0.0
-    two = kept.all(axis=1)
-    generic &= (
-        np.isfinite(roots).all(axis=1)
-        & (kept | (roots < -eps_rho[:, None])).all(axis=1)
-        & kept.any(axis=1)
-        & ~(two & (roots[:, 0] == roots[:, 1]))
-    )
-    # Candidates in ascending range; the second exists where ``two``.
-    first = np.where(two, roots.min(axis=1), np.where(kept[:, 0], roots[:, 0], roots[:, 1]))
-    second = roots.max(axis=1)
-    pos = [r[:, None] * slope - offset + origin for r in (first, second)]
+    two = kept[0] & kept[1]
+    generic &= np.isfinite(roots).all(axis=0) & kept.any(axis=0) & ~(two & (roots[0] == roots[1]))
+    generic &= (kept | (roots < -eps_rho)).all(axis=0)
+    # Candidates in ascending range, (2, 3, N); the second exists where ``two``.
+    first = np.where(two, roots.min(axis=0), np.where(kept[0], roots[0], roots[1]))
+    pos = np.stack((first, roots.max(axis=0)))[:, None] * slope - offset + origin
 
-    residual = []
-    for p in pos:
-        diff = rel - (p - origin)[:, None, :]
-        ranges = np.sqrt(np.sum(diff * diff, axis=2))
-        mismatch = (ranges[:, 1:] - ranges[:, :1]) - d
-        residual.append(_row_dot(mismatch, mismatch))
-    r0, r1 = residual
+    ranges = np.sqrt(_sq_norm3(rel - (pos - origin)[:, None]))
+    mismatch = ((ranges[:, 1:] - ranges[:, :1]) - d).transpose(0, 2, 1).reshape(-1, 3)
+    r0, r1 = _row_dot(mismatch, mismatch).reshape(2, -1)
     generic &= np.isfinite(r0) & np.isfinite(r1)
     # The first minimum wins, and so does the first candidate on a tie.
     tie = np.abs(r0 - r1) <= EPS_TIE * np.maximum(np.abs(r0), np.abs(r1))
     pick_second = two & (r1 < r0) & ~tie
-    position = np.where(pick_second[:, None], pos[1], pos[0])
-    other = np.where(pick_second[:, None], pos[0], pos[1])
-    losing = np.where(
-        two & (other != position).any(axis=1),
-        _rel_error(other, source, truth_norm),
-        np.inf,
-    )
+    position = np.where(pick_second, pos[1], pos[0])
+    other = np.where(pick_second, pos[0], pos[1])
+    has_other = two & (other != position).any(axis=0)
+    losing = np.where(has_other, _rel_error(other, source, truth_norm), np.inf)
     return generic, position, losing
 
 
-def _five_sensor(rel, origin, d):
+def _five_sensor(rel, sq, d):
     """Generic five-sensor rows: the default pairing set in literal form."""
-    sq = np.einsum("nij,nij->ni", rel, rel)
-    switch = EPS_DELTA * np.sqrt(np.max(sq[:, 1:], axis=1))
-    generic = np.ones(len(rel), dtype=bool)
-    rows = []
-    rhs = []
-    for k, j in DEFAULT_PAIRINGS:
-        dk = d[:, k - 1]
-        dj = d[:, j - 1]
-        # A range difference below the switch means a cleared row or a
-        # pairing retry, both left to the scalar path.
-        generic &= np.minimum(np.abs(dk), np.abs(dj)) >= switch
-        ratio = dk / dj
-        rows.append(2.0 * (rel[:, k] - ratio[:, None] * rel[:, j]))
-        rhs.append(-(dk * dk - ratio * dj * dj) + (sq[:, k] - ratio * sq[:, j]))
-    x, solved = _solve3(np.stack(rows, axis=1), np.stack(rhs, axis=1)[:, :, None])
-    return generic & solved, x[:, :, 0] + origin
+    dk, dj = d[_PAIR_K - 1], d[_PAIR_J - 1]
+    # A range difference below the switch means a cleared row or a pairing
+    # retry, both left to the scalar path.
+    switch = EPS_DELTA * np.sqrt(np.max(sq[1:], axis=0))
+    generic = (np.minimum(np.abs(dk), np.abs(dj)) >= switch).all(axis=0)
+    ratio = dk / dj
+    rows = 2.0 * (rel[_PAIR_K] - ratio[:, None] * rel[_PAIR_J])
+    rhs = -(dk * dk - ratio * dj * dj) + (sq[_PAIR_K] - ratio * sq[_PAIR_J])
+    x, solved = _solve3(np.concatenate((rows, rhs[:, None]), axis=1))
+    return generic & solved, x[:, 0]
 
 
 def solve_scale(draws: np.ndarray, n_sensors: int, source_scale: float):
@@ -168,7 +170,8 @@ def solve_scale(draws: np.ndarray, n_sensors: int, source_scale: float):
 
     ``draws`` holds one row per instance: the first ``3 * n_sensors + 3``
     uniforms of its generator, which ``sample_scenario`` takes as the
-    sensors and then the source of its first draw.
+    sensors and then the source of its first draw; ``draws.T`` is read as
+    columns (no copy for ``_streams.uniforms``'s layout).
 
     Returns ``(generic, position, rel_error, losing)``, one row per
     instance: whether the row is generic, the ``(N, 3)`` estimate, its
@@ -177,33 +180,35 @@ def solve_scale(draws: np.ndarray, n_sensors: int, source_scale: float):
     through the scalar path.
     """
     n = n_sensors
+    cols = np.ascontiguousarray(draws.T)
     with np.errstate(all="ignore"):
-        sensors = draws[:, : 3 * n].reshape(-1, n, 3) - 0.5
-        source = source_scale * (draws[:, 3 * n:] - 0.5)
+        sensors = cols[: 3 * n].reshape(n, 3, -1) - 0.5
+        source = source_scale * (cols[3 * n:] - 0.5)
 
         # Rows that sampling could reject go to the scalar path, which
         # redraws them. The margin of 4 in squared distance keeps any
         # rounding difference from mattering.
         floor = 4.0 * EPS_SEP * EPS_SEP
         i, j = _SENSOR_PAIRS[n]
-        pair = sensors[:, i] - sensors[:, j]
-        diff = sensors - source[:, None, :]
-        gap2 = np.sum(diff * diff, axis=2)
-        generic = (np.sum(pair * pair, axis=2).min(axis=1) > floor) & (gap2.min(axis=1) > floor)
+        gap2 = _sq_norm3(sensors - source)
+        pair2 = _sq_norm3(sensors[i] - sensors[j]).min(axis=0)
+        generic = (pair2 > floor) & (gap2.min(axis=0) > floor)
 
         # The forward model: the same squared gaps give the true ranges.
         rho = np.sqrt(gap2)
-        d = rho[:, 1:] - rho[:, :1]
-        origin = sensors[:, 0]
-        rel = sensors - origin[:, None, :]
-        truth_norm = np.sqrt(_row_dot(source, source))
+        d = rho[1:] - rho[0]
+        origin = sensors[0].copy()
+        rel = np.subtract(sensors, origin, out=sensors)  # the sensors are not read again
+        sq = np.einsum("nij,nij->in", *[np.ascontiguousarray(rel.transpose(2, 0, 1))] * 2)
+        truth_norm = np.sqrt(_col_dot(source, source))
         generic &= truth_norm > 0.0
 
         if n == 5:
-            solved, position = _five_sensor(rel, origin, d)
+            solved, position = _five_sensor(rel, sq, d)
+            position += origin
             losing = np.full(len(draws), np.inf)
         else:
-            solved, position, losing = _four_sensor(rel, origin, d, source, truth_norm)
+            solved, position, losing = _four_sensor(rel, sq, origin, d, source, truth_norm)
         rel_error = _rel_error(position, source, truth_norm)
         generic &= solved & np.isfinite(rel_error)
-    return generic, position, rel_error, losing
+    return generic, position.T, rel_error, losing

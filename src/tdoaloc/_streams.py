@@ -70,11 +70,7 @@ def _mix(x, y):
 
 def _words(n: int) -> list[int]:
     """numpy's coercion of a non-negative int to 32-bit entropy words."""
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
+    return [n >> shift & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
 
 
 def _pool_before_last_word(seed: int, scale_index: int):
@@ -128,29 +124,25 @@ def _jump_consts(width: int):
     return _limbs(powers[2:]), _limbs(sums)
 
 
-def _mul128(const, hi, lo):
-    """``const * (hi:lo)`` mod 2**128 for ``(W, 1)`` constant limbs and
-    ``(N,)`` halves, as ``(W, N)`` high and low halves."""
+def _mul_add(const, x_hi, x_lo, hi, lo, t0, t1) -> None:
+    """``hi:lo += const * (x_hi:x_lo)`` mod 2**128 in place, for ``(W, 1)``
+    constant limbs, ``(N,)`` halves ``x_*``, and ``(W, N)`` buffers."""
     c_hi, c_lo, c0, c1 = const
-    lo0, lo1 = lo & _MASK32, lo >> 32
-    # The high half of c_lo * lo, from 32-bit limb products (exact in uint64).
-    p01 = lo0 * c1
-    p10 = lo1 * c0
-    mid = lo0 * c0
-    mid >>= 32
-    mid += p01 & _MASK32
-    mid += p10 & _MASK32
-    mid >>= 32
-    p01 >>= 32
-    p10 >>= 32
-    high = lo1 * c1
-    high += p01
-    high += p10
-    high += mid
-    # The cross terms, mod 2**64; c_hi * hi is a multiple of 2**128.
-    high += c_lo * hi
-    high += c_hi * lo
-    return high, c_lo * lo
+    x0, x1 = x_lo & _MASK32, x_lo >> 32
+    # The high half of c_lo * x_lo from 32-bit limb products (exact in
+    # uint64): the cross products' high halves, and in t1 the carry out of
+    # the middle limb, which adds each cross product less its high half.
+    np.right_shift(np.multiply(x0, c0, out=t1), 32, out=t1)
+    for x, c in ((x0, c1), (x1, c0)):
+        t1 += np.multiply(x, c, out=t0)
+        hi += np.right_shift(t0, 32, out=t0)
+        t1 -= np.left_shift(t0, 32, out=t0)
+    hi += np.right_shift(t1, 32, out=t1)
+    # x1 * c1, and the cross terms mod 2**64 (c_hi * x_hi is a multiple of 2**128).
+    for x, c in ((x1, c1), (x_hi, c_lo), (x_lo, c_hi)):
+        hi += np.multiply(x, c, out=t0)
+    lo += np.multiply(x_lo, c_lo, out=t0)
+    hi += lo < t0
 
 
 def uniforms(seed: int, scale_index: int, first: int, stop: int, width: int) -> np.ndarray:
@@ -177,17 +169,20 @@ def uniforms(seed: int, scale_index: int, first: int, stop: int, width: int) -> 
     inc_lo = s3 << 1 | 1
     x_lo = s1 + inc_lo
     x_hi = s0 + inc_hi + (x_lo < s1)
+    # The state after each draw, as (W, N) halves, by in-place multiply-adds.
+    hi, lo, t0 = np.zeros((3, width, stop - first), dtype=np.uint64)
+    draws = np.empty((width, stop - first))
     powers, sums = _jump_consts(width)
-    a_hi, a_lo = _mul128(powers, x_hi, x_lo)
-    b_hi, b_lo = _mul128(sums, inc_hi, inc_lo)
-    lo = a_lo + b_lo
-    hi = a_hi + b_hi + (lo < a_lo)
+    _mul_add(powers, x_hi, x_lo, hi, lo, t0, draws.view(np.uint64))
+    _mul_add(sums, inc_hi, inc_lo, hi, lo, t0, draws.view(np.uint64))
 
     # XSL-RR: xor the halves, rotate right by the top 6 bits of the state.
-    value = hi ^ lo
-    rot = hi >> 58
-    value = value >> rot | value << (-rot & 63)
-    # One row per draw so far; the caller wants one row per instance.
-    draws = np.empty((stop - first, width))
-    np.multiply(value >> 11, 2.0**-53, out=draws.T)
-    return draws
+    lo ^= hi
+    hi >>= 58
+    np.right_shift(lo, hi, out=t0)
+    lo <<= np.bitwise_and(np.negative(hi, out=hi), 63, out=hi)
+    t0 |= lo
+    t0 >>= 11
+    np.multiply(t0, 2.0**-53, out=draws)
+    # One row per instance: the transpose of one row per draw.
+    return draws.T

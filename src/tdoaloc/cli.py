@@ -23,6 +23,7 @@ from .measurement import document_deltas, load_scenario, write_scenario
 from .montecarlo import (
     DEFAULT_SCALE_GRID,
     DEFAULT_THRESHOLDS,
+    MAX_SCALES,
     ExperimentConfig,
     SweepSummary,
     run_sweep,
@@ -116,9 +117,10 @@ def _scale_grid(args) -> tuple[float, ...]:
         return tuple(_parse_floats(args.scales, "--scales"))
     if args.scale_range is not None:
         parts = _parse_floats(args.scale_range, "--scale-range")
-        if len(parts) != 3 or not (parts[2].is_integer() and parts[2] >= 1):
+        if len(parts) != 3 or not (parts[2].is_integer() and 1 <= parts[2] <= MAX_SCALES):
             raise InvalidConfigError(
-                f"--scale-range wants lo,hi,count, integer count >= 1, got {args.scale_range!r}"
+                f"--scale-range wants lo,hi,count, integer count in [1, {MAX_SCALES}], "
+                f"got {args.scale_range!r}"
             )
         lo, hi, count = parts[0], parts[1], int(parts[2])
         if not (0.0 < lo < math.inf and 0.0 < hi < math.inf):

@@ -6,6 +6,8 @@ Pure: operates on plain numpy arrays (shape ``(3,)``, ``(3, k)`` and
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import SingularMatrixError
@@ -45,7 +47,9 @@ def solve3_pivoted(matrix, rhs) -> tuple[np.ndarray, tuple[float, float, float]]
     scale = max(map(abs, a[0] + a[1] + a[2]))
     if scale == 0.0:
         raise SingularMatrixError("all-zero system matrix (rank 0)")
-    tol = EPS_RANK * scale
+    # At least the least subnormal, so that a zero pivot fails even where
+    # EPS_RANK * scale underflows (and would be a division by zero).
+    tol = max(EPS_RANK * scale, math.ulp(0.0))
 
     pivots = []
     for col in range(3):

@@ -17,8 +17,8 @@ regardless of the order in which instances are run.
 The private ``_streams`` module computes a batch's draws, the doubles that
 each instance's ``instance_rng`` generator yields first, as array arithmetic
 without building a generator per instance. The private ``_batch`` module
-samples, solves and scores the batch's instances as numpy array rows, with
-the same floating-point operations as ``run_instance``. Rows it cannot
+samples, solves and scores the batch's instances as one entry each of
+numpy columns, with the same floating-point operations as ``run_instance``. Rows it cannot
 prove generic (a rejected draw, a singular pivot, a tangent or clamped root,
 a linear fallback, a cleared row or pairing retry, ...) are rerun one by one
 through ``sample_scenario`` and ``run_instance``, whose codes replace the
@@ -52,6 +52,10 @@ DEFAULT_SCALE_GRID = tuple(float(s) for s in np.logspace(-6.0, 0.0, 13))
 MAX_SAMPLE_ATTEMPTS = 100
 # Instance indices are one 32-bit word of the seed hash's spawn key.
 MAX_INSTANCES = 1 << 32
+# Most source scales in one sweep grid: each scale is a row of cells per
+# threshold, and far more than any success-fraction curve needs, while a
+# count a typo can make (1e9) would fill memory before the sweep starts.
+MAX_SCALES = 10_000
 # Instances per batch in run_sweep: large enough that numpy's per-call cost
 # is small per row, small enough that a batch's arrays stay near a megabyte.
 BATCH_ROWS = 1024
@@ -107,7 +111,11 @@ class ExperimentConfig:
             raise InvalidConfigError(
                 f"thresholds must be finite and positive, got {self.thresholds}"
             )
-        if not self.scale_grid or not all(0.0 < s < math.inf for s in self.scale_grid):
+        if not 1 <= len(self.scale_grid) <= MAX_SCALES:
+            raise InvalidConfigError(
+                f"scale grid must hold 1 to {MAX_SCALES} scales, got {len(self.scale_grid)}"
+            )
+        if not all(0.0 < s < math.inf for s in self.scale_grid):
             raise InvalidConfigError(f"scales must be finite and positive, got {self.scale_grid}")
 
 

@@ -261,6 +261,9 @@ def test_sweep_invalid_configs(capsys):
         ["--scale-range", "1e-4,1,nan"],
         ["--scale-range", "1e-4,1,inf"],
         ["--scale-range", "1e-4,1,2.5"],
+        # Counts past MAX_SCALES, rejected before the grid is allocated.
+        ["--scale-range", "1e-4,1,1e300"],
+        ["--scale-range", "1e-4,1,1e9"],
         ["--scale-range", "inf,1,3"],
         ["--scales", "inf"],
         ["--scales", "nan"],

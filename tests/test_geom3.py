@@ -73,3 +73,10 @@ def test_solve3_columns_match_single_solves():
             assert x[:, k].tobytes() == xk.tobytes()
             assert pivots == pk
 
+
+
+def test_solve3_zero_pivot_fails_where_tolerance_underflows():
+    # EPS_RANK times the largest entry rounds to 0 below about 5e-312; a zero
+    # pivot must still fail the rank test, not divide by zero.
+    with pytest.raises(SingularMatrixError):
+        solve3_pivoted([[5e-324, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 5e-324]], [1.0, 1.0, 1.0])

@@ -39,6 +39,8 @@ def test_config_validation():
             ExperimentConfig(**bad)
     with pytest.raises(InvalidConfigError):
         ExperimentConfig(n_instances=mc.MAX_INSTANCES + 1)
+    with pytest.raises(InvalidConfigError):
+        ExperimentConfig(scale_grid=(1.0,) * (mc.MAX_SCALES + 1))
     for seed in (-1, 1.0, True, "3", None):
         with pytest.raises(InvalidConfigError):
             ExperimentConfig(seed=seed)
@@ -52,6 +54,7 @@ def test_config_validation():
     assert ExperimentConfig(n_instances=mc.MAX_INSTANCES).n_instances == 2**32
     assert ExperimentConfig().scale_grid == (1.0,)
     assert ExperimentConfig(scale_grid=(0.1, 1)).scale_grid == (0.1, 1.0)
+    assert len(ExperimentConfig(scale_grid=(1.0,) * mc.MAX_SCALES).scale_grid) == mc.MAX_SCALES
 
 
 def test_sampling_bounds():
