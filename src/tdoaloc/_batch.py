@@ -10,8 +10,9 @@ the scalar order of operations; the reductions follow the scalar code:
 
 - squared distances (sensor pairs, source gaps, candidate ranges) are the
   column sums ``(x + y) + z`` of the scalar Python sums;
-- squared baselines stay ``np.einsum`` on ``(N, n, 3)`` rows, as in
-  ``reference_frame`` (a column sum differs on about a fifth of the rows);
+- squared baselines are the column sums ``(x * x + z * z) + y * y`` of
+  ``reference_frame``, the order in which ``np.einsum("ij,ij->i")`` sums a
+  3-vector (``(x + y) + z`` differs from it on about a quarter of random rows);
 - every 1-D ``@`` and ``np.linalg.norm`` (the quadratic's coefficients,
   residuals, relative errors) stays :func:`_row_dot` on ``(N, 3)`` rows.
 
@@ -199,7 +200,8 @@ def solve_scale(draws: np.ndarray, n_sensors: int, source_scale: float):
         d = rho[1:] - rho[0]
         origin = sensors[0].copy()
         rel = np.subtract(sensors, origin, out=sensors)  # the sensors are not read again
-        sq = np.einsum("nij,nij->in", *[np.ascontiguousarray(rel.transpose(2, 0, 1))] * 2)
+        x, y, z = rel[:, 0], rel[:, 1], rel[:, 2]
+        sq = (x * x + z * z) + y * y
         truth_norm = np.sqrt(_col_dot(source, source))
         generic &= truth_norm > 0.0
 

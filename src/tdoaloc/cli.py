@@ -37,6 +37,7 @@ EXIT_SINGULAR = 3
 EXIT_NO_REAL_SOLUTION = 4
 EXIT_INVALID_CONFIG = 5
 EXIT_DEGENERATE = 6
+EXIT_OUTPUT_ERROR = 7
 
 CSV_COLUMNS = (
     "n_sensors",
@@ -133,13 +134,20 @@ def _scale_grid(args) -> tuple[float, ...]:
     return DEFAULT_SCALE_GRID
 
 
-def _write_out(path, write) -> None:
-    """Call ``write(out)`` on the file ``path``, or on stdout without one."""
-    if path:
+def _write_out(path, write) -> int:
+    """Call ``write(out)`` on the file ``path``, or on stdout without one.
+    Returns the exit code: ``EXIT_OUTPUT_ERROR``, with one error line, if
+    the file cannot be opened or written."""
+    if not path:
+        write(sys.stdout)
+        return EXIT_OK
+    try:
         with open(path, "w") as out:
             write(out)
-    else:
-        write(sys.stdout)
+    except OSError as err:
+        print(f"error: cannot write output: {err}", file=sys.stderr)
+        return EXIT_OUTPUT_ERROR
+    return EXIT_OK
 
 
 def cmd_locate(args) -> int:
@@ -150,8 +158,7 @@ def cmd_locate(args) -> int:
     except LocalizationError as err:
         print(f"error: {err}", file=sys.stderr)
         return _exit_code(err)
-    _write_out(args.out, functools.partial(_print_report, result))
-    return EXIT_OK
+    return _write_out(args.out, functools.partial(_print_report, result))
 
 
 def cmd_sweep(args) -> int:
@@ -167,8 +174,7 @@ def cmd_sweep(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return _exit_code(err)
     writers = {"csv": write_sweep_csv, "json": write_sweep_json}
-    _write_out(args.out, functools.partial(writers[args.format], summary))
-    return EXIT_OK
+    return _write_out(args.out, functools.partial(writers[args.format], summary))
 
 
 def cmd_gen(args) -> int:
@@ -184,8 +190,7 @@ def cmd_gen(args) -> int:
     except LocalizationError as err:
         print(f"error: {err}", file=sys.stderr)
         return _exit_code(err)
-    _write_out(args.out, lambda out: write_scenario(out, scenario))
-    return EXIT_OK
+    return _write_out(args.out, lambda out: write_scenario(out, scenario))
 
 
 @functools.lru_cache(maxsize=1)

@@ -42,9 +42,19 @@ def solve3_pivoted(matrix, rhs) -> tuple[np.ndarray, tuple[float, float, float]]
             f"expected a (3,) or (3, k) right-hand side, got shape {v.shape}"
         )
 
-    a = m.tolist()
-    cols = [v.tolist()] if v.ndim == 1 else v.T.tolist()
-    scale = max(map(abs, a[0] + a[1] + a[2]))
+    # The right-hand sides as extra columns of the matrix rows.
+    xs, pivots = _eliminate(np.hstack((m, v.reshape(3, -1))).tolist())
+    x = np.array(xs[0]) if v.ndim == 1 else np.array(xs).T
+    return x, pivots
+
+
+def _eliminate(a: list) -> tuple[list, tuple[float, float, float]]:
+    """:func:`solve3_pivoted` on Python floats. ``a`` holds the three rows
+    of the augmented system ``[matrix | rhs_1 ... rhs_k]`` as lists, and is
+    overwritten. Returns one ``(x0, x1, x2)`` tuple per right-hand side and
+    the pivot magnitudes; raises as ``solve3_pivoted`` does."""
+    width = len(a[0])
+    scale = max(map(abs, a[0][:3] + a[1][:3] + a[2][:3]))
     if scale == 0.0:
         raise SingularMatrixError("all-zero system matrix (rank 0)")
     # At least the least subnormal, so that a zero pivot fails even where
@@ -53,32 +63,30 @@ def solve3_pivoted(matrix, rhs) -> tuple[np.ndarray, tuple[float, float, float]]
 
     pivots = []
     for col in range(3):
-        column = [abs(row[col]) for row in a[col:]]
-        p = col + column.index(max(column))  # the first of equal largest
+        p = col
+        for r in range(col + 1, 3):
+            if abs(a[r][col]) > abs(a[p][col]):  # the first of equal largest
+                p = r
         piv = a[p][col]
         if not abs(piv) >= tol:  # a NaN pivot fails too
             raise SingularMatrixError(
                 f"elimination pivot {abs(piv):.3e} below {tol:.3e} "
                 f"(rank-deficient system)"
             )
-        if p != col:
-            a[col], a[p] = a[p], a[col]
-            for b in cols:
-                b[col], b[p] = b[p], b[col]
+        a[col], a[p] = a[p], a[col]
+        top = a[col]
         pivots.append(abs(piv))
-        for r in range(col + 1, 3):
-            f = a[r][col] / piv
+        for row in a[col + 1:]:
+            f = row[col] / piv
             if f != 0.0:
-                for c in range(col + 1, 3):
-                    a[r][c] -= f * a[col][c]
-                for b in cols:
-                    b[r] -= f * b[col]
+                for c in range(col + 1, width):
+                    row[c] -= f * top[c]
 
+    (a00, a01, a02, *b0), (_, a11, a12, *b1), (_, _, a22, *b2) = a
     xs = []
-    for b in cols:
-        x2 = b[2] / a[2][2]
-        x1 = (b[1] - a[1][2] * x2) / a[1][1]
-        x0 = (b[0] - a[0][1] * x1 - a[0][2] * x2) / a[0][0]
+    for k in range(width - 3):
+        x2 = b2[k] / a22
+        x1 = (b1[k] - a12 * x2) / a11
+        x0 = (b0[k] - a01 * x1 - a02 * x2) / a00
         xs.append((x0, x1, x2))
-    x = np.array(xs[0]) if v.ndim == 1 else np.array(xs).T
-    return x, (pivots[0], pivots[1], pivots[2])
+    return xs, (pivots[0], pivots[1], pivots[2])

@@ -145,15 +145,27 @@ def _check_clearance(sensors: SensorArray, source) -> None:
         raise ValueError("source coincides with a sensor position")
 
 
+def _frame(rows) -> tuple[list, list, tuple[float, ...], float]:
+    """:func:`reference_frame` on Python floats: the sensor rows rebased on
+    row 0, that row (the origin), the squared norms and the longest baseline.
+
+    Each squared norm is ``(x * x + z * z) + y * y``, the order in which
+    ``np.einsum("ij,ij->i")`` sums a 3-vector, so it equals that einsum bit
+    for bit; ``_batch`` sums its columns in the same order. Row 0 is zero,
+    so the largest squared norm is the longest baseline's.
+    """
+    origin = rows[0]
+    ox, oy, oz = origin
+    rel = [[x - ox, y - oy, z - oz] for x, y, z in rows]
+    sq = tuple([(x * x + z * z) + y * y for x, y, z in rel])
+    return rel, origin, sq, math.sqrt(max(sq))
+
+
 def reference_frame(sensors: SensorArray) -> ReferencedArray:
     """Rebase the array on its reference sensor (sensor 0 at the origin)."""
-    origin = sensors.positions[0].copy()
-    rel = sensors.positions - origin
-    # einsum, as the batch path sums its rows; row 0 is zero, so the largest
-    # squared norm is the longest baseline's.
-    sq = tuple(np.einsum("ij,ij->i", rel, rel).tolist())
-    return _record(ReferencedArray, rel_positions=rel, origin=origin, sq=sq,
-                   baseline=math.sqrt(max(sq)))
+    rel, origin, sq, baseline = _frame(sensors.positions.tolist())
+    return _record(ReferencedArray, rel_positions=np.array(rel), origin=np.array(origin),
+                   sq=sq, baseline=baseline)
 
 
 def range_differences(scenario: Scenario) -> RangeDifferences:

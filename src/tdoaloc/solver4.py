@@ -23,15 +23,15 @@ from .errors import (
     NoCandidatesError,
     NoRealSolutionError,
 )
+from .geom3 import _eliminate
 from .measurement import (
     RangeDifferences,
     ReferencedArray,
     SensorArray,
+    _frame,
     _squared_distances,
     as_range_differences,
-    reference_frame,
 )
-from .geom3 import solve3_pivoted
 from .result import AmbiguityResolution, Candidate, LocalizationResult, Method
 
 # Tolerances separating analytic degeneracy from round-off. EPS_LIN detects a
@@ -72,6 +72,17 @@ class QuadraticRoots:
     linear_fallback: bool
 
 
+def _line_rows(rel, sq, d) -> list[list[float]]:
+    """The four-sensor system on Python floats (``rel`` the referenced rows,
+    ``sq`` their squared norms, ``d`` the range differences): per
+    non-reference sensor the augmented row of the matrix, the range vector
+    and the constant vector, ``[-2 x, -2 y, -2 z, 2 d, sq - d * d]``."""
+    if len(rel) != 4 or len(d) != 3:
+        raise ValueError("four-sensor build needs 4 sensors and 3 range differences")
+    return [[-2.0 * x, -2.0 * y, -2.0 * z, 2.0 * v, s - v * v]
+            for (x, y, z), s, v in zip(rel[1:], sq[1:], d)]
+
+
 def build_four_sensor_system(
     rel: ReferencedArray, deltas: RangeDifferences
 ) -> FourSensorSystem:
@@ -82,21 +93,15 @@ def build_four_sensor_system(
             (rank-deficient geometry).
     """
     deltas = as_range_differences(deltas)
-    if rel.rel_positions.shape[0] != 4 or deltas.n_sensors != 4:
-        raise ValueError("four-sensor build needs 4 sensors and 3 range differences")
-    d = deltas.deltas.tolist()
-
-    matrix = -2.0 * rel.rel_positions[1:]
-    # Rows: the range vector, then the constant vector.
-    rhs = np.array([[2.0 * v for v in d], [s - v * v for s, v in zip(rel.sq[1:], d)]])
-    line, pivots = solve3_pivoted(matrix, rhs.T)
-    slope, offset = line.T
+    rows = _line_rows(rel.rel_positions.tolist(), rel.sq, deltas.deltas.tolist())
+    system = np.array(rows)
+    (slope, offset), pivots = _eliminate(rows)
     return FourSensorSystem(
-        matrix=matrix,
-        range_vector=rhs[0],
-        const_vector=rhs[1],
-        slope=slope,
-        offset=offset,
+        matrix=system[:, :3],
+        range_vector=system[:, 3],
+        const_vector=system[:, 4],
+        slope=np.array(slope),
+        offset=np.array(offset),
         baseline=rel.baseline,
         pivots=pivots,
     )
@@ -113,27 +118,21 @@ def _retain(values, eps_rho: float) -> tuple[float, ...]:
     return tuple(sorted(kept))
 
 
-def solve_reference_range(system: FourSensorSystem) -> QuadraticRoots:
-    """Solve the quadratic for the source-to-reference range.
-
-    The larger-magnitude root is computed with the sign-matched numerator and
-    the other via the root product, avoiding cancellation near tangency.
-
-    Raises:
-        NoRealSolutionError: discriminant negative beyond round-off
-            (range differences inconsistent with the geometry).
-        DegenerateLinearError: leading coefficient vanishes and no unique
-            linear root exists.
-    """
-    xi = system.slope
-    eta = system.offset
+def _quadratic(slope, offset, baseline: float) -> tuple:
+    """:func:`solve_reference_range` on Python floats: the fields of its
+    :class:`QuadraticRoots`, in order."""
+    xi = np.array(slope)
+    eta = np.array(offset)
+    # The dots stay numpy's (BLAS ddot, as the batch path's): on an FMA CPU
+    # OpenBLAS rounds them as fma(x2, y2, fma(x1, y1, x0 * y0)), which Python
+    # floats cannot reproduce.
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite roots are dropped below
-        xx = float(xi @ xi)
-        b_half = float(xi @ eta)
-        c_coef = float(eta @ eta)
+        xx = float(xi.dot(xi))
+        b_half = float(xi.dot(eta))
+        c_coef = float(eta.dot(eta))
     a = xx - 1.0
     disc = b_half * b_half - a * c_coef
-    eps_rho = EPS_RHO_REL * system.baseline
+    eps_rho = EPS_RHO_REL * baseline
 
     linear = abs(a) < EPS_LIN * (xx + 1.0)
     if linear:
@@ -160,17 +159,83 @@ def solve_reference_range(system: FourSensorSystem) -> QuadraticRoots:
             sqrt_disc = math.sqrt(used)
             q = b_half + sqrt_disc if b_half >= 0.0 else b_half - sqrt_disc
             values = (q / a, c_coef / q)
-    return QuadraticRoots(a=a, b_half=b_half, c_coef=c_coef, roots=_retain(values, eps_rho),
-                          discriminant=disc, linear_fallback=linear)
+    return a, b_half, c_coef, _retain(values, eps_rho), disc, linear
+
+
+def solve_reference_range(system: FourSensorSystem) -> QuadraticRoots:
+    """Solve the quadratic for the source-to-reference range.
+
+    The larger-magnitude root is computed with the sign-matched numerator and
+    the other via the root product, avoiding cancellation near tangency.
+
+    Raises:
+        NoRealSolutionError: discriminant negative beyond round-off
+            (range differences inconsistent with the geometry).
+        DegenerateLinearError: leading coefficient vanishes and no unique
+            linear root exists.
+    """
+    return QuadraticRoots(*_quadratic(
+        system.slope.tolist(), system.offset.tolist(), system.baseline
+    ))
+
+
+def _candidates(slope, offset, origin, roots) -> list[tuple[float, np.ndarray, list]]:
+    """:func:`candidate_positions` on Python floats: ``(rho, position,
+    floats)`` per root, the position as an array and as a list of floats."""
+    line = list(zip(slope, offset, origin))
+    candidates = []
+    for rho in roots:
+        pos = [rho * s - o + g for s, o, g in line]
+        candidates.append((rho, np.array(pos), pos))
+    return candidates
 
 
 def candidate_positions(
     system: FourSensorSystem, roots: QuadraticRoots, origin
 ) -> list[tuple[float, np.ndarray]]:
     """Map retained range roots to absolute candidate positions."""
-    line = list(zip(system.slope.tolist(), system.offset.tolist(),
-                    np.asarray(origin, dtype=float).tolist()))
-    return [(rho, np.array([rho * s - o + g for s, o, g in line])) for rho in roots.roots]
+    return [(rho, pos) for rho, pos, _ in _candidates(
+        system.slope.tolist(), system.offset.tolist(),
+        np.asarray(origin, dtype=float).tolist(), roots.roots,
+    )]
+
+
+def _resolve(candidates, rel, origin, d, baseline: float) -> LocalizationResult:
+    """:func:`resolve_ambiguity` on Python floats, on candidates as
+    :func:`_candidates` gives them; the result keeps their arrays."""
+    if not candidates:
+        raise NoCandidatesError(
+            "no nonnegative reference-range root; no candidate positions to score"
+        )
+    scored = []
+    for rho, pos, floats in candidates:
+        rel_pos = [p - g for p, g in zip(floats, origin)]
+        ranges = [math.sqrt(v) for v in _squared_distances(rel, rel_pos)]
+        # The residual stays a numpy dot, which rounds unlike a Python sum.
+        mismatch = np.array([(r - ranges[0]) - v for r, v in zip(ranges[1:], d)])
+        residual = float(mismatch.dot(mismatch))
+        scored.append(Candidate(reference_range=float(rho), position=pos, residual=residual))
+
+    best = min(range(len(scored)), key=lambda i: scored[i].residual)
+    ambiguous = False
+    if len(scored) == 1:
+        resolved = AmbiguityResolution.SINGLE_ROOT
+    else:
+        resolved = AmbiguityResolution.RESIDUAL
+        r0, r1 = scored[0].residual, scored[1].residual
+        if abs(r0 - r1) <= EPS_TIE * max(abs(r0), abs(r1)):
+            best = 0
+        # Smallest rho + d_i over both candidates, against the admissibility
+        # slack below zero.
+        margin = min(c.reference_range for c in scored) + min(d)
+        ambiguous = margin >= -EPS_RHO_REL * baseline
+    return LocalizationResult(
+        position=scored[best].position,
+        method=Method.FOUR_SENSOR,
+        candidates=tuple(scored),
+        ambiguity_resolved_by=resolved,
+        ambiguous=ambiguous,
+    )
 
 
 def resolve_ambiguity(
@@ -196,63 +261,34 @@ def resolve_ambiguity(
         NoCandidatesError: the retained-root list was empty.
     """
     deltas = as_range_differences(deltas)
-    if not candidates:
-        raise NoCandidatesError(
-            "no nonnegative reference-range root; no candidate positions to score"
-        )
-    d = deltas.deltas.tolist()
-    rows = rel.rel_positions.tolist()
-    origin = rel.origin.tolist()
-    scored = []
-    for rho, pos in candidates:
-        rel_pos = [p - g for p, g in zip(np.asarray(pos, dtype=float).tolist(), origin)]
-        ranges = [math.sqrt(v) for v in _squared_distances(rows, rel_pos)]
-        # The residual stays a numpy dot, which rounds unlike a Python sum.
-        mismatch = np.array([(r - ranges[0]) - v for r, v in zip(ranges[1:], d)])
-        residual = float(mismatch @ mismatch)
-        scored.append(Candidate(reference_range=float(rho), position=pos, residual=residual))
-
-    best = min(range(len(scored)), key=lambda i: scored[i].residual)
-    ambiguous = False
-    if len(scored) == 1:
-        resolved = AmbiguityResolution.SINGLE_ROOT
-    else:
-        resolved = AmbiguityResolution.RESIDUAL
-        r0, r1 = scored[0].residual, scored[1].residual
-        if abs(r0 - r1) <= EPS_TIE * max(abs(r0), abs(r1)):
-            best = 0
-        # Smallest rho + d_i over both candidates, against the admissibility
-        # slack below zero.
-        margin = min(c.reference_range for c in scored) + min(d)
-        ambiguous = margin >= -EPS_RHO_REL * rel.baseline
-    return LocalizationResult(
-        position=scored[best].position,
-        method=Method.FOUR_SENSOR,
-        candidates=tuple(scored),
-        ambiguity_resolved_by=resolved,
-        ambiguous=ambiguous,
+    return _resolve(
+        [(rho, pos, np.asarray(pos, dtype=float).tolist()) for rho, pos in candidates],
+        rel.rel_positions.tolist(), rel.origin.tolist(), deltas.deltas.tolist(), rel.baseline,
     )
 
 
 def solve_four_sensor(sensors: SensorArray, deltas) -> LocalizationResult:
     """Localize a source from four sensors and three range differences.
 
+    The pipeline steps run on Python floats, as the stage functions compute
+    them, with no intermediate records.
+
     Raises:
         SingularMatrixError, NoRealSolutionError, DegenerateLinearError,
         NoCandidatesError: see the individual pipeline steps.
     """
     deltas = as_range_differences(deltas)
-    rel = reference_frame(sensors)
-    system = build_four_sensor_system(rel, deltas)
-    roots = solve_reference_range(system)
-    candidates = candidate_positions(system, roots, rel.origin)
-    result = resolve_ambiguity(candidates, rel, deltas)
+    d = deltas.deltas.tolist()
+    rel, origin, sq, baseline = _frame(sensors.positions.tolist())
+    (slope, offset), pivots = _eliminate(_line_rows(rel, sq, d))
+    a, b_half, c_coef, roots, disc, linear = _quadratic(slope, offset, baseline)
+    result = _resolve(_candidates(slope, offset, origin, roots), rel, origin, d, baseline)
     # The result's own, fresh dict: filled in place, not copied.
     result.diagnostics.update(
-        pivots=system.pivots,
-        pivot_ratio=min(system.pivots) / max(system.pivots),
-        quadratic=(roots.a, roots.b_half, roots.c_coef),
-        discriminant=roots.discriminant,
-        linear_fallback=roots.linear_fallback,
+        pivots=pivots,
+        pivot_ratio=min(pivots) / max(pivots),
+        quadratic=(a, b_half, c_coef),
+        discriminant=disc,
+        linear_fallback=linear,
     )
     return result

@@ -15,14 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDeltasError, NoRealSolutionError, SingularMatrixError
+from .geom3 import _eliminate
 from .measurement import (
     RangeDifferences,
     ReferencedArray,
     SensorArray,
+    _frame,
     as_range_differences,
-    reference_frame,
 )
-from .geom3 import solve3_pivoted
 from .result import AmbiguityResolution, LocalizationResult, Method
 
 # Relative (to the longest reference baseline) range-difference magnitude
@@ -63,12 +63,13 @@ PAIRING_FALLBACKS = tuple(
 )
 
 
-def _build(r, sq, d, switch: float, pairings, row_form: str) -> FiveSensorSystem | None:
+def _build(r, sq, d, switch: float, pairings, row_form: str):
     """The system of one pairing set on Python floats (``r`` and ``sq`` are
-    the referenced rows and their squared norms), or None if a pairing has
-    two vanishing range differences and so carries no position information."""
+    the referenced rows and their squared norms): ``(rows, scaled)``, the
+    three augmented rows ``[matrix | rhs]`` as lists and which of them use
+    the cleared form. None if a pairing has two vanishing range differences
+    and so carries no position information."""
     rows = []
-    rhs = []
     scaled = []
     for k, j in pairings:
         dk = d[k - 1]
@@ -81,32 +82,27 @@ def _build(r, sq, d, switch: float, pairings, row_form: str) -> FiveSensorSystem
             use_literal = row_form == "literal"
         if use_literal:
             ratio = dk / dj
-            rows += [2.0 * (a - ratio * b) for a, b in zip(r[k], r[j])]
-            rhs.append(-(dk * dk - ratio * dj * dj) + (sq[k] - ratio * sq[j]))
+            row = [2.0 * (a - ratio * b) for a, b in zip(r[k], r[j])]
+            row.append(-(dk * dk - ratio * dj * dj) + (sq[k] - ratio * sq[j]))
         else:
-            rows += [2.0 * (dj * a - dk * b) for a, b in zip(r[k], r[j])]
-            rhs.append(-dk * dj * (dk - dj) + dj * sq[k] - dk * sq[j])
+            row = [2.0 * (dj * a - dk * b) for a, b in zip(r[k], r[j])]
+            row.append(-dk * dj * (dk - dj) + dj * sq[k] - dk * sq[j])
+        rows.append(row)
         scaled.append(not use_literal)
-    return FiveSensorSystem(
-        matrix=np.array(rows).reshape(3, 3),
-        rhs=np.array(rhs),
-        pairings=tuple(pairings),
-        scaled_rows=(scaled[0], scaled[1], scaled[2]),
-    )
+    return rows, (scaled[0], scaled[1], scaled[2])
 
 
-def _pairing_systems(rel: ReferencedArray, deltas: np.ndarray, row_form: str):
-    """Yield ``(attempt, system)`` for each pairing set of PAIRING_FALLBACKS
-    that is not degenerate, where ``attempt`` is the set's index. Yields
-    nothing if every set is degenerate; each caller then raises
+def _pairing_systems(rel, sq, baseline: float, d, row_form: str):
+    """Yield ``(attempt, pairings, system)`` for each pairing set of
+    PAIRING_FALLBACKS that is not degenerate, where ``attempt`` is the set's
+    index and ``system`` is what :func:`_build` returns. Yields nothing if
+    every set is degenerate; each caller then raises
     ``DegenerateDeltasError(_ALL_DEGENERATE)``."""
-    switch = EPS_DELTA * rel.baseline
-    rows = rel.rel_positions.tolist()
-    d = deltas.tolist()
+    switch = EPS_DELTA * baseline
     for attempt, pairings in enumerate(PAIRING_FALLBACKS):
-        system = _build(rows, rel.sq, d, switch, pairings, row_form)
+        system = _build(rel, sq, d, switch, pairings, row_form)
         if system is not None:
-            yield attempt, system
+            yield attempt, pairings, system
 
 
 def build_five_sensor_system(
@@ -131,8 +127,12 @@ def build_five_sensor_system(
     deltas = as_range_differences(deltas)
     if rel.rel_positions.shape[0] != 5 or deltas.n_sensors != 5:
         raise ValueError("five-sensor build needs 5 sensors and 4 range differences")
-    for _, system in _pairing_systems(rel, deltas.deltas, row_form):
-        return system
+    for _, pairings, (rows, scaled) in _pairing_systems(
+        rel.rel_positions.tolist(), rel.sq, rel.baseline, deltas.deltas.tolist(), row_form
+    ):
+        system = np.array(rows)
+        return FiveSensorSystem(matrix=system[:, :3], rhs=system[:, 3],
+                                pairings=pairings, scaled_rows=scaled)
     raise DegenerateDeltasError(_ALL_DEGENERATE)
 
 
@@ -141,7 +141,8 @@ def solve_five_sensor(sensors: SensorArray, deltas) -> LocalizationResult:
 
     Returns a single estimate (no sign ambiguity on this path) with pivot
     diagnostics. Pairing sets are rotated if the default set is degenerate
-    or yields a singular system.
+    or yields a singular system. Runs on Python floats, as
+    :func:`build_five_sensor_system` and ``solve3_pivoted`` compute.
 
     Raises:
         SingularMatrixError: sensor geometry leaves the system rank-deficient
@@ -153,33 +154,35 @@ def solve_five_sensor(sensors: SensorArray, deltas) -> LocalizationResult:
     deltas = as_range_differences(deltas)
     if sensors.n_sensors != 5 or deltas.n_sensors != 5:
         raise ValueError("five-sensor solve needs 5 sensors and 4 range differences")
-    rel = reference_frame(sensors)
+    rel, origin, sq, baseline = _frame(sensors.positions.tolist())
 
     singular_err = None
-    for attempt, system in _pairing_systems(rel, deltas.deltas, "auto"):
+    for attempt, pairings, (rows, scaled) in _pairing_systems(
+        rel, sq, baseline, deltas.deltas.tolist(), "auto"
+    ):
         try:
-            ref_position, pivots = solve3_pivoted(system.matrix, system.rhs)
+            (ref_position,), pivots = _eliminate(rows)
         except SingularMatrixError as err:
             # Without its traceback: that holds this frame, which would hold
             # the error, a cycle only the garbage collector frees.
             singular_err = err.with_traceback(None)
             continue
-        position = ref_position + rel.origin
-        if not all(map(math.isfinite, position.tolist())):
+        position = [x + g for x, g in zip(ref_position, origin)]
+        if not all(map(math.isfinite, position)):
             # Range differences far beyond every baseline overflow their squares.
             raise NoRealSolutionError(
                 "range differences too large for the array: no finite position"
             )
         return LocalizationResult(
-            position=position,
+            position=np.array(position),
             method=Method.FIVE_SENSOR,
             candidates=(),
             ambiguity_resolved_by=AmbiguityResolution.NOT_APPLICABLE,
             diagnostics={
                 "pivots": pivots,
                 "pivot_ratio": min(pivots) / max(pivots),
-                "pairings": system.pairings,
-                "scaled_rows": system.scaled_rows,
+                "pairings": pairings,
+                "scaled_rows": scaled,
                 "pairing_retries": attempt,
             },
         )

@@ -12,6 +12,7 @@ from tdoaloc.cli import (
     EXIT_INVALID_CONFIG,
     EXIT_NO_REAL_SOLUTION,
     EXIT_OK,
+    EXIT_OUTPUT_ERROR,
     EXIT_PARSE_ERROR,
     EXIT_SINGULAR,
     main,
@@ -176,6 +177,22 @@ def test_locate_out_file(tmp_path, capsys):
     np.testing.assert_allclose(
         _position_from_report(out_path.read_text()), [2, 3, 4], atol=1e-9
     )
+
+
+@pytest.mark.parametrize("command", ["locate", "sweep", "gen"])
+def test_unwritable_out_is_one_error_line(tmp_path, capsys, command):
+    out_path = tmp_path / "missing" / "out.txt"
+    args = {
+        "locate": ["locate", _write(tmp_path, CANONICAL_5)],
+        "sweep": ["sweep", "--scales", "1", "--instances", "2"],
+        "gen": ["gen"],
+    }[command]
+    assert main([*args, "--out", str(out_path)]) == EXIT_OUTPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(out_path) in captured.err
+    assert not out_path.parent.exists()
 
 
 def test_unknown_flag_rejected(capsys):

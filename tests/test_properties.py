@@ -6,9 +6,15 @@ elimination must match ``geom3.solve3_pivoted`` on any input, down to which
 systems fail the rank test. The examples lean on the edges where the two
 paths could part: tied pivots, zero factors, non-finite entries, extreme
 magnitudes, and rows just either side of each test that makes a row generic.
+
+The scalar solvers run the stages on Python floats, with numpy only for the
+dot products; they must equal the composition of the public stage functions
+bit for bit, and ``reference_frame``'s squared baselines must equal the
+``np.einsum`` both paths once used.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,14 +22,42 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from hypothesis.configuration import storage_directory  # noqa: E402
 from test_batch import SPECIAL, _Draws, _scalar_losing  # noqa: E402
 
-from tdoaloc import SingularMatrixError, run_instance, sample_scenario  # noqa: E402
+from tdoaloc import (  # noqa: E402
+    AmbiguityResolution,
+    LocalizationError,
+    LocalizationResult,
+    Method,
+    NoRealSolutionError,
+    SensorArray,
+    SingularMatrixError,
+    build_five_sensor_system,
+    build_four_sensor_system,
+    candidate_positions,
+    range_differences,
+    reference_frame,
+    resolve_ambiguity,
+    run_instance,
+    sample_scenario,
+    solve_five_sensor,
+    solve_four_sensor,
+    solve_reference_range,
+)
 from tdoaloc._batch import _solve3, solve_scale  # noqa: E402
 from tdoaloc.geom3 import solve3_pivoted  # noqa: E402
-from tdoaloc.measurement import EPS_SEP  # noqa: E402
+from tdoaloc.measurement import EPS_SEP, _record  # noqa: E402
+from tdoaloc.solver5 import PAIRING_FALLBACKS  # noqa: E402
 
 THRESHOLDS = (1e-6, 1e-3)
+
+
+def test_hypothesis_stores_nothing_in_the_checkout():
+    # conftest.py points hypothesis's storage at a temporary directory.
+    home = storage_directory(intent_to_write=False).home_directory.resolve()
+    root = Path(__file__).resolve().parents[1]
+    assert home != root and root not in home.parents, home
 
 
 def _bits(values) -> list:
@@ -128,3 +162,134 @@ def test_generic_rows_equal_scalar_path_bit_for_bit(n_sensors, data):
         assert _bits(position[k]) == _bits(result.estimate.position), rows[k]
         assert _bits(rel_error[k]) == _bits(result.rel_error), rows[k]
         assert _bits(losing[k]) == _bits(_scalar_losing(scenario, result.estimate)), rows[k]
+
+
+@given(data=st.data())
+def test_reference_frame_squares_sum_as_einsum(data):
+    # Coordinates from 1e-300 to 1e300, of one magnitude (where the order of
+    # the three-term sum shows), of nearby ones or of unrelated ones; squares
+    # past the float range are inf and those below it 0. The sensors skip
+    # SensorArray's checks: the arithmetic is under test, and coordinates
+    # below 1e-9 would be rejected as coincident.
+    n = data.draw(st.sampled_from([4, 5]))
+    base = data.draw(st.integers(-300, 299))
+    spread = data.draw(st.sampled_from([0, 2, 600]))
+    coordinate = st.builds(
+        lambda m, e: m * 10.0 ** min(max(base + e, -300), 299),
+        st.floats(-9.999, 9.999), st.integers(-spread, spread),
+    )
+    rows = data.draw(st.lists(coordinate, min_size=3 * n, max_size=3 * n))
+    sensors = _record(SensorArray, positions=np.reshape(rows, (n, 3)))
+    rel = reference_frame(sensors)
+    with np.errstate(over="ignore", invalid="ignore"):
+        offsets = sensors.positions - sensors.positions[0]
+        expected = np.einsum("ij,ij->i", offsets, offsets)
+    assert _bits(rel.rel_positions) == _bits(offsets), rows
+    assert _bits(rel.sq) == _bits(expected), rows
+
+
+def _outcome(solve):
+    """Everything a solve returns, bit-exact, or its error's type and message."""
+    try:
+        result = solve()
+    except Exception as err:
+        return type(err), str(err)
+    return (
+        _bits(result.position), result.method, result.ambiguous,
+        result.ambiguity_resolved_by, repr(result.diagnostics),
+        [(_bits(c.reference_range), _bits(c.position), _bits(c.residual))
+         for c in result.candidates],
+    )
+
+
+def _four_by_stages(sensors, deltas):
+    rel = reference_frame(sensors)
+    system = build_four_sensor_system(rel, deltas)
+    roots = solve_reference_range(system)
+    result = resolve_ambiguity(candidate_positions(system, roots, rel.origin), rel, deltas)
+    result.diagnostics.update(
+        pivots=system.pivots,
+        pivot_ratio=min(system.pivots) / max(system.pivots),
+        quadratic=(roots.a, roots.b_half, roots.c_coef),
+        discriminant=roots.discriminant,
+        linear_fallback=roots.linear_fallback,
+    )
+    return result
+
+
+def _five_by_stages(sensors, deltas):
+    """The first pairing set ``build_five_sensor_system`` picks, solved; a
+    singular system there leaves the retries to the solver."""
+    rel = reference_frame(sensors)
+    system = build_five_sensor_system(rel, deltas)
+    x, pivots = solve3_pivoted(system.matrix, system.rhs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        position = x + rel.origin
+    if not np.isfinite(position).all():
+        raise NoRealSolutionError("range differences too large for the array: no finite position")
+    return LocalizationResult(
+        position=position,
+        method=Method.FIVE_SENSOR,
+        candidates=(),
+        ambiguity_resolved_by=AmbiguityResolution.NOT_APPLICABLE,
+        diagnostics={
+            "pivots": pivots,
+            "pivot_ratio": min(pivots) / max(pivots),
+            "pairings": system.pairings,
+            "scaled_rows": system.scaled_rows,
+            "pairing_retries": PAIRING_FALLBACKS.index(system.pairings),
+        },
+    )
+
+
+@st.composite
+def _solver_inputs(draw, n):
+    """Sensors and range differences: a sampled geometry, or one of the
+    hand-built tangent, linear-fallback, equidistant and coplanar ones, with
+    exact, perturbed, zeroed, repeated or overflowing range differences."""
+    scale = 10.0 ** draw(st.integers(-6, 3))
+    base = draw(st.sampled_from(["random", *SPECIAL[n]]))
+    if base == "random":
+        seed = draw(st.integers(0, 2**32 - 1))
+        scenario = sample_scenario(np.random.default_rng(seed), n, scale)
+    else:
+        scenario = sample_scenario(_Draws(SPECIAL[n][base]), n, 1.0)
+    sensors = scenario.sensors
+    deltas = range_differences(scenario).deltas.copy()
+    kind = draw(st.sampled_from(["exact", "noisy", "zeroed", "repeated", "huge"]))
+    if kind == "noisy":
+        noise = draw(st.lists(st.floats(-1.0, 1.0), min_size=n - 1, max_size=n - 1))
+        deltas = deltas + np.array(noise) * 10.0 ** draw(st.integers(-12, 0))
+    elif kind == "zeroed":
+        zeroed = draw(st.lists(st.integers(0, n - 2), min_size=1, max_size=n - 1))
+        deltas[zeroed] = 0.0
+    elif kind == "repeated":
+        deltas[:] = deltas[draw(st.integers(0, n - 2))]
+    elif kind == "huge":
+        deltas = np.array(draw(st.lists(
+            st.sampled_from([1e200, -1e200, 1e150, -3e154]), min_size=n - 1, max_size=n - 1
+        )))
+    return sensors, deltas
+
+
+@pytest.mark.parametrize("n_sensors", [4, 5])
+@given(data=st.data())
+def test_solvers_equal_their_stage_functions(n_sensors, data):
+    sensors, deltas = data.draw(_solver_inputs(n_sensors))
+    if n_sensors == 4:
+        solved = _outcome(lambda: solve_four_sensor(sensors, deltas))
+        assert solved == _outcome(lambda: _four_by_stages(sensors, deltas)), deltas
+        return
+    solved = _outcome(lambda: solve_five_sensor(sensors, deltas))
+    staged = _outcome(lambda: _five_by_stages(sensors, deltas))
+    if staged[0] is not SingularMatrixError:
+        assert solved == staged, deltas
+        return
+    # The solver goes on to the next pairing sets: it may fail there too,
+    # but it does not return the singular set's result.
+    first = build_five_sensor_system(reference_frame(sensors), deltas).pairings
+    try:
+        result = solve_five_sensor(sensors, deltas)
+    except LocalizationError:
+        return
+    assert result.diagnostics["pairing_retries"] > PAIRING_FALLBACKS.index(first), staged
