@@ -1,7 +1,9 @@
 """Fixed-size 3D linear algebra kernel: the pivoted 3x3 solve.
 
-Pure: operates on plain numpy arrays (shape ``(3,)``, ``(3, k)`` and
-``(3, 3)``) and python floats.
+Pure: the public solve takes array-likes (a ``(3, 3)`` matrix and a ``(3,)``
+or ``(3, k)`` right-hand side) and returns numpy arrays; the elimination
+itself, which the scalar solvers call directly, runs on lists of Python
+floats.
 """
 
 from __future__ import annotations
@@ -48,45 +50,74 @@ def solve3_pivoted(matrix, rhs) -> tuple[np.ndarray, tuple[float, float, float]]
     return x, pivots
 
 
+def _singular(piv: float, tol: float) -> SingularMatrixError:
+    return SingularMatrixError(
+        f"elimination pivot {abs(piv):.3e} below {tol:.3e} (rank-deficient system)"
+    )
+
+
 def _eliminate(a: list) -> tuple[list, tuple[float, float, float]]:
     """:func:`solve3_pivoted` on Python floats. ``a`` holds the three rows
-    of the augmented system ``[matrix | rhs_1 ... rhs_k]`` as lists, and is
-    overwritten. Returns one ``(x0, x1, x2)`` tuple per right-hand side and
-    the pivot magnitudes; raises as ``solve3_pivoted`` does."""
-    width = len(a[0])
-    scale = max(map(abs, a[0][:3] + a[1][:3] + a[2][:3]))
+    of the augmented system ``[matrix | rhs_1 ... rhs_k]`` as lists; it is
+    not modified. Returns one ``(x0, x1, x2)`` tuple per right-hand side and
+    the pivot magnitudes; raises as ``solve3_pivoted`` does.
+
+    The matrix entries are eliminated in locals, then each right-hand side
+    goes through the same row operations in the same order, so every entry
+    sees the floating-point operations of a row-by-row elimination.
+    """
+    r0, r1, r2 = a
+    scale = max(map(abs, r0[:3] + r1[:3] + r2[:3]))
     if scale == 0.0:
         raise SingularMatrixError("all-zero system matrix (rank 0)")
     # At least the least subnormal, so that a zero pivot fails even where
     # EPS_RANK * scale underflows (and would be a division by zero).
     tol = max(EPS_RANK * scale, math.ulp(0.0))
 
-    pivots = []
-    for col in range(3):
-        p = col
-        for r in range(col + 1, 3):
-            if abs(a[r][col]) > abs(a[p][col]):  # the first of equal largest
-                p = r
-        piv = a[p][col]
-        if not abs(piv) >= tol:  # a NaN pivot fails too
-            raise SingularMatrixError(
-                f"elimination pivot {abs(piv):.3e} below {tol:.3e} "
-                f"(rank-deficient system)"
-            )
-        a[col], a[p] = a[p], a[col]
-        top = a[col]
-        pivots.append(abs(piv))
-        for row in a[col + 1:]:
-            f = row[col] / piv
-            if f != 0.0:
-                for c in range(col + 1, width):
-                    row[c] -= f * top[c]
+    # Column 0: the first row of the largest magnitude swaps with row 0.
+    p = 1 if abs(r1[0]) > abs(r0[0]) else 0
+    if abs(r2[0]) > abs(a[p][0]):
+        r0, r2 = r2, r0
+    elif p:
+        r0, r1 = r1, r0
+    piv0, m01, m02, *y0s = r0
+    if not abs(piv0) >= tol:  # a NaN pivot fails too
+        raise _singular(piv0, tol)
+    f1 = r1[0] / piv0
+    f2 = r2[0] / piv0
+    _, m11, m12, *y1s = r1
+    _, m21, m22, *y2s = r2
+    if f1 != 0.0:
+        m11 -= f1 * m01
+        m12 -= f1 * m02
+    if f2 != 0.0:
+        m21 -= f2 * m01
+        m22 -= f2 * m02
 
-    (a00, a01, a02, *b0), (_, a11, a12, *b1), (_, _, a22, *b2) = a
+    # Column 1: rows 1 and 2 swap if row 2's entry is larger.
+    swap = abs(m21) > abs(m11)
+    if swap:
+        m11, m12, m21, m22 = m21, m22, m11, m12
+    if not abs(m11) >= tol:
+        raise _singular(m11, tol)
+    g = m21 / m11
+    if g != 0.0:
+        m22 -= g * m12
+    if not abs(m22) >= tol:
+        raise _singular(m22, tol)
+
     xs = []
-    for k in range(width - 3):
-        x2 = b2[k] / a22
-        x1 = (b1[k] - a12 * x2) / a11
-        x0 = (b0[k] - a01 * x1 - a02 * x2) / a00
+    for y0, y1, y2 in zip(y0s, y1s, y2s):
+        if f1 != 0.0:
+            y1 -= f1 * y0
+        if f2 != 0.0:
+            y2 -= f2 * y0
+        if swap:
+            y1, y2 = y2, y1
+        if g != 0.0:
+            y2 -= g * y1
+        x2 = y2 / m22
+        x1 = (y1 - m12 * x2) / m11
+        x0 = (y0 - m01 * x1 - m02 * x2) / piv0
         xs.append((x0, x1, x2))
-    return xs, (pivots[0], pivots[1], pivots[2])
+    return xs, (abs(piv0), abs(m11), abs(m22))

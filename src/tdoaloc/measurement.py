@@ -12,9 +12,12 @@ is an explicit separate step so acoustic and EM data share one solver path).
 
 from __future__ import annotations
 
+import errno
 import json
 import math
+import os
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -38,9 +41,11 @@ def _squared_distances(rows, point) -> list[float]:
 def _check_array(rows) -> None:
     if len(rows) not in (4, 5):
         raise ValueError(f"need exactly 4 or 5 sensors, got {len(rows)}")
-    for i in range(len(rows) - 1):
-        if min(_squared_distances(rows[i + 1:], rows[i])) <= EPS_SEP * EPS_SEP:
-            raise ValueError(f"sensors closer than {EPS_SEP} m make the geometry singular")
+    # Every pair's squared distance, in one pass, summed as _squared_distances sums.
+    closest = min([((x - a) * (x - a) + (y - b) * (y - b)) + (z - c) * (z - c)
+                   for i, (a, b, c) in enumerate(rows) for x, y, z in rows[i + 1:]])
+    if closest <= EPS_SEP * EPS_SEP:
+        raise ValueError(f"sensors closer than {EPS_SEP} m make the geometry singular")
 
 
 def _set(record, **fields):
@@ -55,6 +60,19 @@ def _set(record, **fields):
 def _record(cls, **fields):
     """A ``cls`` record of already-checked fields: ``__post_init__`` does not run."""
     return _set(object.__new__(cls), **fields)
+
+
+_setattr = object.__setattr__
+
+
+def _array_record(cls, name: str, values):
+    """A ``cls`` record whose one field ``name`` is a read-only array of the
+    checked floats ``values``: :func:`_record` without its keyword loop."""
+    array = np.array(values)
+    array.setflags(write=False)
+    record = object.__new__(cls)
+    _setattr(record, name, array)
+    return record
 
 
 @dataclass(frozen=True)
@@ -136,12 +154,13 @@ class Scenario:
             raise ValueError(f"source must be a 3-vector, got shape {src.shape}")
         if not np.all(np.isfinite(src)):
             raise ValueError("source position must be finite")
-        _check_clearance(self.sensors, src.tolist())
+        _check_clearance(_squared_distances(self.sensors.positions.tolist(), src.tolist()))
         _set(self, source=src)
 
 
-def _check_clearance(sensors: SensorArray, source) -> None:
-    if min(_squared_distances(sensors.positions.tolist(), source)) <= EPS_SEP * EPS_SEP:
+def _check_clearance(sq) -> None:
+    """Reject a source whose squared distance ``sq`` to some sensor is too small."""
+    if min(sq) <= EPS_SEP * EPS_SEP:
         raise ValueError("source coincides with a sensor position")
 
 
@@ -168,12 +187,17 @@ def reference_frame(sensors: SensorArray) -> ReferencedArray:
                    sq=sq, baseline=baseline)
 
 
+def _forward(sq) -> list[float]:
+    """Range differences from the squared source-to-sensor distances ``sq``."""
+    rho = [math.sqrt(v) for v in sq]
+    return [r - rho[0] for r in rho[1:]]
+
+
 def range_differences(scenario: Scenario) -> RangeDifferences:
     """Noise-free forward model: range differences against the reference.
     Raises ValueError if a range overflows (a source beyond about 1e154 m)."""
     sq = _squared_distances(scenario.sensors.positions.tolist(), scenario.source.tolist())
-    rho = [math.sqrt(v) for v in sq]
-    return RangeDifferences(deltas=np.array([r - rho[0] for r in rho[1:]]))
+    return RangeDifferences(deltas=np.array(_forward(sq)))
 
 
 def arrival_times_to_range_diffs(times, c: float = SPEED_OF_LIGHT) -> np.ndarray:
@@ -213,10 +237,13 @@ class ScenarioDocument:
 def _numbers(values, count: int, name: str) -> list[float]:
     """The JSON list of ``count`` numbers ``values`` as floats. Each must be
     an int or a float, not a bool (an int to Python) or a string, and finite:
-    an int beyond the float range is rejected, not raised as OverflowError."""
+    an int beyond the float range is rejected, not raised as OverflowError.
+    A list of finite floats, the usual case, is returned as it is."""
     if type(values) is not list or len(values) != count:
         got = len(values) if type(values) is list else json.dumps(values)
         raise ValueError(f"{name} must be a list of {count} numbers, got {got}")
+    if all(map(isinstance, values, repeat(float))) and all(map(math.isfinite, values)):
+        return values
     floats = []
     for v in values:
         if type(v) is not float and type(v) is not int:
@@ -230,9 +257,37 @@ def _numbers(values, count: int, name: str) -> list[float]:
     return floats
 
 
+def _read(path) -> bytes:
+    """The bytes of the file at ``path``, by unbuffered reads of its
+    descriptor: no file object. Raises OSError as ``open(path, "rb")`` and
+    ``read()`` would, with the same message."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        data = os.read(fd, 1 << 14)
+        while more := os.read(fd, 1 << 14):
+            data += more
+        return data
+    except IsADirectoryError:  # open() refuses a directory by name; read() gives none
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path)) from None
+    finally:
+        os.close(fd)
+
+
+def _document(sensors, source, deltas) -> ScenarioDocument:
+    """``ScenarioDocument(sensors, source, deltas)`` without the cost of its
+    ``__init__``; the fields are set as that sets them, in field order, so
+    the record keeps its class's attribute layout (see ``result._result``)."""
+    doc = object.__new__(ScenarioDocument)
+    _setattr(doc, "sensors", sensors)
+    _setattr(doc, "source", source)
+    _setattr(doc, "deltas", deltas)
+    return doc
+
+
 def load_scenario(path) -> ScenarioDocument:
-    """Parse and validate a scenario document. One pass converts and checks
-    every value, and the records built from them are not checked again.
+    """Parse and validate a scenario document. One read takes the file, one
+    pass converts and checks every value, and each record is built once
+    from the checked values, with no further check.
 
     Raises:
         ScenarioFormatError: on unreadable or malformed JSON, wrong arity,
@@ -240,8 +295,7 @@ def load_scenario(path) -> ScenarioDocument:
             inconsistent values.
     """
     try:
-        with open(path, "rb") as f:  # bytes: no pathlib or text-layer cost per file
-            raw = json.loads(f.read().decode())
+        raw = json.loads(_read(path).decode())
     except (OSError, ValueError) as err:  # ValueError: bad JSON, bad UTF-8, too many digits
         raise ScenarioFormatError(f"cannot parse scenario document: {err}") from err
     if not isinstance(raw, dict):
@@ -265,26 +319,31 @@ def load_scenario(path) -> ScenarioDocument:
         _check_array(rows)
     except ValueError as err:
         raise ScenarioFormatError(f"bad sensor list: {err}") from err
-    sensors = _record(SensorArray, positions=np.array(rows))
+    sensors = _array_record(SensorArray, "positions", rows)
     n = len(rows)
 
     source = deltas = None
     try:
-        c = _numbers([raw.get("c", SPEED_OF_LIGHT)], 1, "'c'")[0]
+        c = _numbers([raw["c"]], 1, "'c'")[0] if "c" in raw else SPEED_OF_LIGHT
         if not c > 0.0:
             raise ValueError(f"propagation speed must be positive, got {c}")
         if "source" in raw:
             source = np.array(_numbers(raw["source"], 3, "'source'"))
-        elif "deltas" in raw:
-            d = _numbers(raw["deltas"], n - 1, "'deltas'")
-            deltas = _record(RangeDifferences, deltas=np.array(d))
         else:
-            t = _numbers(raw["times"], n, "'times'")
-            deltas = RangeDifferences(arrival_times_to_range_diffs(t, c))
+            if "deltas" in raw:
+                d = _numbers(raw["deltas"], n - 1, "'deltas'")
+            else:
+                # arrival_times_to_range_diffs, inline; a product beyond the
+                # float range is inf, which the check below rejects.
+                t = _numbers(raw["times"], n, "'times'")
+                d = [c * (v - t[0]) for v in t[1:]]
+                if not all(map(math.isfinite, d)):
+                    raise ValueError("range differences must be finite")
+            deltas = _array_record(RangeDifferences, "deltas", d)
     except ValueError as err:
         raise ScenarioFormatError(str(err)) from err
 
-    return ScenarioDocument(sensors=sensors, source=source, deltas=deltas)
+    return _document(sensors, source, deltas)
 
 
 def write_scenario(out, scenario: Scenario) -> None:
@@ -299,7 +358,9 @@ def write_scenario(out, scenario: Scenario) -> None:
 
 def document_deltas(doc: ScenarioDocument) -> RangeDifferences:
     """Range differences for a document as ``load_scenario`` returns it: as
-    given, or forward-modelled from its checked source.
+    given, or forward-modelled from its checked source. The squared
+    source-to-sensor distances serve both the clearance check and the
+    forward model.
 
     Raises:
         ScenarioFormatError: if the source sits on a sensor or is too far
@@ -307,10 +368,13 @@ def document_deltas(doc: ScenarioDocument) -> RangeDifferences:
     """
     if doc.deltas is not None:
         return doc.deltas
+    sq = _squared_distances(doc.sensors.positions.tolist(), doc.source.tolist())
     try:
-        _check_clearance(doc.sensors, doc.source.tolist())
-        # A source too far out overflows to non-finite range differences,
-        # which RangeDifferences rejects.
-        return range_differences(_record(Scenario, sensors=doc.sensors, source=doc.source))
+        _check_clearance(sq)
+        d = _forward(sq)
+        # A source too far out overflows to non-finite range differences.
+        if not all(map(math.isfinite, d)):
+            raise ValueError("range differences must be finite")
     except ValueError as err:
         raise ScenarioFormatError(f"bad source: {err}") from err
+    return _array_record(RangeDifferences, "deltas", d)

@@ -13,6 +13,7 @@ met exactly by two positions and the result is flagged ``ambiguous``.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -32,7 +33,7 @@ from .measurement import (
     _squared_distances,
     as_range_differences,
 )
-from .result import AmbiguityResolution, Candidate, LocalizationResult, Method
+from .result import AmbiguityResolution, LocalizationResult, Method, _candidate, _result
 
 # Tolerances separating analytic degeneracy from round-off. EPS_LIN detects a
 # vanishing quadratic leading coefficient; EPS_DISC clamps a barely negative
@@ -45,6 +46,13 @@ EPS_LIN = 1e-12
 EPS_DISC = 1e-9
 EPS_RHO_REL = 1e-12
 EPS_TIE = 1e-9
+
+# Below this sum of the magnitudes of the slope and offset entries, no dot of
+# them (nor any partial sum) passes 1e300, so none overflows; a NaN or an inf
+# entry fails the test. There the dots skip np.errstate, which costs about a
+# microsecond to enter and leave.
+_DOT_SAFE = 1e150
+_NO_OVERFLOW = contextlib.nullcontext()
 
 
 @dataclass(frozen=True)
@@ -126,7 +134,10 @@ def _quadratic(slope, offset, baseline: float) -> tuple:
     # The dots stay numpy's (BLAS ddot, as the batch path's): on an FMA CPU
     # OpenBLAS rounds them as fma(x2, y2, fma(x1, y1, x0 * y0)), which Python
     # floats cannot reproduce.
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite roots are dropped below
+    # Where a dot may overflow or meet inf * 0, numpy's warnings are silenced:
+    # non-finite coefficients give no root that is kept below.
+    with (_NO_OVERFLOW if sum(map(abs, slope + offset)) < _DOT_SAFE
+          else np.errstate(over="ignore", invalid="ignore")):
         xx = float(xi.dot(xi))
         b_half = float(xi.dot(eta))
         c_coef = float(eta.dot(eta))
@@ -200,9 +211,10 @@ def candidate_positions(
     )]
 
 
-def _resolve(candidates, rel, origin, d, baseline: float) -> LocalizationResult:
+def _resolve(candidates, rel, origin, d, baseline: float, diagnostics: dict) -> LocalizationResult:
     """:func:`resolve_ambiguity` on Python floats, on candidates as
-    :func:`_candidates` gives them; the result keeps their arrays."""
+    :func:`_candidates` gives them; the result keeps their arrays and the
+    ``diagnostics`` dict."""
     if not candidates:
         raise NoCandidatesError(
             "no nonnegative reference-range root; no candidate positions to score"
@@ -210,11 +222,12 @@ def _resolve(candidates, rel, origin, d, baseline: float) -> LocalizationResult:
     scored = []
     for rho, pos, floats in candidates:
         rel_pos = [p - g for p, g in zip(floats, origin)]
-        ranges = [math.sqrt(v) for v in _squared_distances(rel, rel_pos)]
+        ranges = list(map(math.sqrt, _squared_distances(rel, rel_pos)))
+        r0 = ranges[0]
         # The residual stays a numpy dot, which rounds unlike a Python sum.
-        mismatch = np.array([(r - ranges[0]) - v for r, v in zip(ranges[1:], d)])
+        mismatch = np.array([(r - r0) - v for r, v in zip(ranges[1:], d)])
         residual = float(mismatch.dot(mismatch))
-        scored.append(Candidate(reference_range=float(rho), position=pos, residual=residual))
+        scored.append(_candidate(float(rho), pos, residual))
 
     best = min(range(len(scored)), key=lambda i: scored[i].residual)
     ambiguous = False
@@ -229,13 +242,8 @@ def _resolve(candidates, rel, origin, d, baseline: float) -> LocalizationResult:
         # slack below zero.
         margin = min(c.reference_range for c in scored) + min(d)
         ambiguous = margin >= -EPS_RHO_REL * baseline
-    return LocalizationResult(
-        position=scored[best].position,
-        method=Method.FOUR_SENSOR,
-        candidates=tuple(scored),
-        ambiguity_resolved_by=resolved,
-        ambiguous=ambiguous,
-    )
+    return _result(scored[best].position, Method.FOUR_SENSOR, tuple(scored), resolved, ambiguous,
+                   diagnostics)
 
 
 def resolve_ambiguity(
@@ -263,7 +271,7 @@ def resolve_ambiguity(
     deltas = as_range_differences(deltas)
     return _resolve(
         [(rho, pos, np.asarray(pos, dtype=float).tolist()) for rho, pos in candidates],
-        rel.rel_positions.tolist(), rel.origin.tolist(), deltas.deltas.tolist(), rel.baseline,
+        rel.rel_positions.tolist(), rel.origin.tolist(), deltas.deltas.tolist(), rel.baseline, {},
     )
 
 
@@ -282,13 +290,10 @@ def solve_four_sensor(sensors: SensorArray, deltas) -> LocalizationResult:
     rel, origin, sq, baseline = _frame(sensors.positions.tolist())
     (slope, offset), pivots = _eliminate(_line_rows(rel, sq, d))
     a, b_half, c_coef, roots, disc, linear = _quadratic(slope, offset, baseline)
-    result = _resolve(_candidates(slope, offset, origin, roots), rel, origin, d, baseline)
-    # The result's own, fresh dict: filled in place, not copied.
-    result.diagnostics.update(
-        pivots=pivots,
-        pivot_ratio=min(pivots) / max(pivots),
-        quadratic=(a, b_half, c_coef),
-        discriminant=disc,
-        linear_fallback=linear,
-    )
-    return result
+    return _resolve(_candidates(slope, offset, origin, roots), rel, origin, d, baseline, {
+        "pivots": pivots,
+        "pivot_ratio": min(pivots) / max(pivots),
+        "quadratic": (a, b_half, c_coef),
+        "discriminant": disc,
+        "linear_fallback": linear,
+    })

@@ -23,7 +23,7 @@ from .measurement import (
     _frame,
     as_range_differences,
 )
-from .result import AmbiguityResolution, LocalizationResult, Method
+from .result import AmbiguityResolution, LocalizationResult, Method, _result
 
 # Relative (to the longest reference baseline) range-difference magnitude
 # below which a row switches to the delta-cleared form. The literal row form
@@ -68,41 +68,39 @@ def _build(r, sq, d, switch: float, pairings, row_form: str):
     the referenced rows and their squared norms): ``(rows, scaled)``, the
     three augmented rows ``[matrix | rhs]`` as lists and which of them use
     the cleared form. None if a pairing has two vanishing range differences
-    and so carries no position information."""
+    and so carries no position information.
+
+    Raises:
+        DegenerateDeltasError: forced literal rows divide by a range
+            difference that is zero.
+    """
     rows = []
     scaled = []
     for k, j in pairings:
         dk = d[k - 1]
         dj = d[j - 1]
+        xk, yk, zk = r[k]
+        xj, yj, zj = r[j]
         if row_form == "auto":
             if max(abs(dk), abs(dj)) < switch:
                 return None
             use_literal = min(abs(dk), abs(dj)) >= switch
         else:
             use_literal = row_form == "literal"
+            if use_literal and dj == 0.0:
+                raise DegenerateDeltasError(
+                    f"the literal row of pairing {(k, j)} divides by a zero range difference"
+                )
         if use_literal:
             ratio = dk / dj
-            row = [2.0 * (a - ratio * b) for a, b in zip(r[k], r[j])]
-            row.append(-(dk * dk - ratio * dj * dj) + (sq[k] - ratio * sq[j]))
+            rows.append([2.0 * (xk - ratio * xj), 2.0 * (yk - ratio * yj), 2.0 * (zk - ratio * zj),
+                         -(dk * dk - ratio * dj * dj) + (sq[k] - ratio * sq[j])])
         else:
-            row = [2.0 * (dj * a - dk * b) for a, b in zip(r[k], r[j])]
-            row.append(-dk * dj * (dk - dj) + dj * sq[k] - dk * sq[j])
-        rows.append(row)
+            rows.append([2.0 * (dj * xk - dk * xj), 2.0 * (dj * yk - dk * yj),
+                         2.0 * (dj * zk - dk * zj),
+                         -dk * dj * (dk - dj) + dj * sq[k] - dk * sq[j]])
         scaled.append(not use_literal)
     return rows, (scaled[0], scaled[1], scaled[2])
-
-
-def _pairing_systems(rel, sq, baseline: float, d, row_form: str):
-    """Yield ``(attempt, pairings, system)`` for each pairing set of
-    PAIRING_FALLBACKS that is not degenerate, where ``attempt`` is the set's
-    index and ``system`` is what :func:`_build` returns. Yields nothing if
-    every set is degenerate; each caller then raises
-    ``DegenerateDeltasError(_ALL_DEGENERATE)``."""
-    switch = EPS_DELTA * baseline
-    for attempt, pairings in enumerate(PAIRING_FALLBACKS):
-        system = _build(rel, sq, d, switch, pairings, row_form)
-        if system is not None:
-            yield attempt, pairings, system
 
 
 def build_five_sensor_system(
@@ -127,12 +125,14 @@ def build_five_sensor_system(
     deltas = as_range_differences(deltas)
     if rel.rel_positions.shape[0] != 5 or deltas.n_sensors != 5:
         raise ValueError("five-sensor build needs 5 sensors and 4 range differences")
-    for _, pairings, (rows, scaled) in _pairing_systems(
-        rel.rel_positions.tolist(), rel.sq, rel.baseline, deltas.deltas.tolist(), row_form
-    ):
-        system = np.array(rows)
-        return FiveSensorSystem(matrix=system[:, :3], rhs=system[:, 3],
-                                pairings=pairings, scaled_rows=scaled)
+    r, d, switch = rel.rel_positions.tolist(), deltas.deltas.tolist(), EPS_DELTA * rel.baseline
+    for pairings in PAIRING_FALLBACKS:
+        built = _build(r, rel.sq, d, switch, pairings, row_form)
+        if built is not None:
+            rows, scaled = built
+            system = np.array(rows)
+            return FiveSensorSystem(matrix=system[:, :3], rhs=system[:, 3],
+                                    pairings=pairings, scaled_rows=scaled)
     raise DegenerateDeltasError(_ALL_DEGENERATE)
 
 
@@ -156,10 +156,14 @@ def solve_five_sensor(sensors: SensorArray, deltas) -> LocalizationResult:
         raise ValueError("five-sensor solve needs 5 sensors and 4 range differences")
     rel, origin, sq, baseline = _frame(sensors.positions.tolist())
 
+    d = deltas.deltas.tolist()
+    switch = EPS_DELTA * baseline
     singular_err = None
-    for attempt, pairings, (rows, scaled) in _pairing_systems(
-        rel, sq, baseline, deltas.deltas.tolist(), "auto"
-    ):
+    for attempt, pairings in enumerate(PAIRING_FALLBACKS):
+        built = _build(rel, sq, d, switch, pairings, "auto")
+        if built is None:
+            continue
+        rows, scaled = built
         try:
             (ref_position,), pivots = _eliminate(rows)
         except SingularMatrixError as err:
@@ -173,20 +177,15 @@ def solve_five_sensor(sensors: SensorArray, deltas) -> LocalizationResult:
             raise NoRealSolutionError(
                 "range differences too large for the array: no finite position"
             )
-        return LocalizationResult(
-            position=np.array(position),
-            method=Method.FIVE_SENSOR,
-            candidates=(),
-            ambiguity_resolved_by=AmbiguityResolution.NOT_APPLICABLE,
-            diagnostics={
-                "pivots": pivots,
-                "pivot_ratio": min(pivots) / max(pivots),
-                "pairings": pairings,
-                "scaled_rows": scaled,
-                "pairing_retries": attempt,
-            },
-        )
-    if singular_err is None:  # no pairing set was tried
+        return _result(np.array(position), Method.FIVE_SENSOR, (),
+                       AmbiguityResolution.NOT_APPLICABLE, False, {
+                           "pivots": pivots,
+                           "pivot_ratio": min(pivots) / max(pivots),
+                           "pairings": pairings,
+                           "scaled_rows": scaled,
+                           "pairing_retries": attempt,
+                       })
+    if singular_err is None:  # every pairing set was degenerate
         raise DegenerateDeltasError(_ALL_DEGENERATE)
     raise SingularMatrixError(
         f"five-sensor position system is singular for every pairing set: {singular_err}"

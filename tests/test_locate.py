@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -97,6 +98,51 @@ def test_localize_golden_digest(tmp_path):
     # cleared rows.
     assert min(kinds.values()) > 0, kinds
     assert digest.hexdigest() == LOCATE_DIGEST, kinds
+
+
+# 3-vector pairs whose dot rounds differently as an FMA chain and as a plain
+# sum of products, so the test below tells the two apart.
+FMA_DOT_CASES = [
+    ([-0.705, -1.397, 0.604], [-1.71, 0.144, -0.537]),
+    ([-0.302, 1.307, -1.505], [-1.107, 0.51, 1.791]),
+    ([-1.423, -1.529, -0.766], [1.265, -1.277, 0.326]),
+    ([0.556, -0.51, 0.191], [-1.749, -1.762, -1.176]),
+]
+
+
+def _fma(a, b, c):
+    """``a * b + c`` rounded once, from the exact rational value."""
+    return float(Fraction(a) * Fraction(b) + Fraction(c))
+
+
+@pytest.mark.parametrize("x, y", FMA_DOT_CASES)
+def test_dot_rounds_as_the_golden_digests_assume(x, y):
+    # The four-sensor solver's dots, and with them LOCATE_DIGEST and the
+    # sweep digests, come from numpy's 1-D dot, which is BLAS ddot.
+    expected = _fma(x[2], y[2], _fma(x[1], y[1], x[0] * y[0]))
+    assert (x[0] * y[0] + x[1] * y[1]) + x[2] * y[2] != expected
+    got = float(np.array(x).dot(np.array(y)))
+    assert got == expected, (
+        f"ndarray.dot gave {got.hex()}, not the FMA chain's {expected.hex()}: the BLAS "
+        "ddot kernel picked for this CPU (OpenBLAS core type, or a CPU without FMA) "
+        "rounds 3-vector dots another way, so the golden digests cannot match here"
+    )
+
+
+def test_locate_directory_parse_error(tmp_path):
+    # Reported as open() reports it, with the path.
+    with pytest.raises(IsADirectoryError) as opened:
+        open(tmp_path, "rb")
+    with pytest.raises(ScenarioFormatError) as loaded:
+        load_scenario(tmp_path)
+    assert str(loaded.value) == f"cannot parse scenario document: {opened.value}"
+
+
+def test_load_scenario_reads_a_long_file_whole(tmp_path):
+    path = tmp_path / "padded.json"
+    doc = {"sensors": UNIT_5, "deltas": [0.1, 0.2, 0.3, 0.4]}
+    path.write_text(json.dumps(doc) + " " * 100_000)  # read in several chunks
+    assert load_scenario(path).deltas.deltas.tolist() == doc["deltas"]
 
 
 @pytest.mark.filterwarnings("error")

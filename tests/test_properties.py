@@ -11,8 +11,14 @@ The scalar solvers run the stages on Python floats, with numpy only for the
 dot products; they must equal the composition of the public stage functions
 bit for bit, and ``reference_frame``'s squared baselines must equal the
 ``np.einsum`` both paths once used.
+
+Scenario documents go through ``load_scenario`` and ``document_deltas``,
+which check each value once and build their records without the public
+constructors; they must give what those constructors give, bit for bit, and
+reject with ``ScenarioFormatError`` what the constructors reject.
 """
 
+import json
 import math
 from pathlib import Path
 
@@ -20,22 +26,29 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given  # noqa: E402
+from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.configuration import storage_directory  # noqa: E402
 from test_batch import SPECIAL, _Draws, _scalar_losing  # noqa: E402
 
 from tdoaloc import (  # noqa: E402
+    SPEED_OF_LIGHT,
     AmbiguityResolution,
     LocalizationError,
     LocalizationResult,
     Method,
     NoRealSolutionError,
+    RangeDifferences,
+    Scenario,
+    ScenarioFormatError,
     SensorArray,
     SingularMatrixError,
+    arrival_times_to_range_diffs,
     build_five_sensor_system,
     build_four_sensor_system,
     candidate_positions,
+    document_deltas,
+    load_scenario,
     range_differences,
     reference_frame,
     resolve_ambiguity,
@@ -293,3 +306,92 @@ def test_solvers_equal_their_stage_functions(n_sensors, data):
     except LocalizationError:
         return
     assert result.diagnostics["pairing_retries"] > PAIRING_FALLBACKS.index(first), staged
+
+
+# JSON numbers a document may hold (_FINE): floats, ints (exact as floats or
+# not) and negative zero. _BAD: values it must not hold, which JSON writes as
+# NaN and Infinity or as ints beyond the float range, and finite ones large
+# enough to overflow the forward model or the time conversion.
+_FINE = st.one_of(st.floats(-10.0, 10.0), st.integers(-10, 10), st.just(-0.0),
+                  st.integers(2**53 + 1, 2**70))
+_BAD = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300, 1e160]),
+    st.integers(2**1024, 10**400).map(lambda v: v * (-1) ** (v % 2)),
+)
+
+
+@st.composite
+def _documents(draw, kind):
+    """A scenario document of 4 or 5 sensors with a source, range
+    differences or arrival times (``kind`` "times" at the default ``c``,
+    "times_c" at an explicit one), where one value in four documents is one
+    the document must not hold, and others overflow the forward model or
+    the time conversion; a source may sit on or next to a sensor."""
+    n = draw(st.sampled_from([4, 5]))
+    size = {"source": 3, "deltas": n - 1}.get(kind, n)
+    values = draw(st.lists(_FINE, min_size=3 * n + size, max_size=3 * n + size))
+    if kind.startswith("times"):
+        # Arrival times of the size a range difference divided by c would be.
+        values[3 * n:] = [v * 1e-8 if isinstance(v, float) else v for v in values[3 * n:]]
+    if kind == "source" and draw(st.integers(0, 3)) == 0:
+        # On a sensor, or within the separation the clearance check rejects.
+        i = draw(st.integers(0, n - 1))
+        values[3 * n:] = [float(v) + draw(st.sampled_from([0.0, 1e-10, 1e-6]))
+                          for v in values[3 * i: 3 * i + 3]]
+    if draw(st.integers(0, 3)) == 0:
+        values[draw(st.integers(0, len(values) - 1))] = draw(_BAD)
+    doc = {"sensors": [values[3 * i: 3 * i + 3] for i in range(n)],
+           kind.removesuffix("_c"): values[3 * n:]}
+    if kind == "times_c":
+        doc["c"] = draw(st.one_of(
+            st.floats(1.0, 1e9), st.integers(1, 10**9), st.sampled_from([343.0, 1e300]),
+            st.sampled_from([0, -343.0, -0.0, math.inf, math.nan]),
+        ))
+    return doc
+
+
+def _constructed(doc):
+    """The positions, the source (or None) and the range differences the
+    public constructors give for ``doc``, or None where they reject it."""
+    try:
+        sensors = SensorArray(doc["sensors"])
+        if "source" in doc:
+            scenario = Scenario(sensors, doc["source"])
+            return sensors.positions, scenario.source, range_differences(scenario).deltas
+        if "deltas" in doc:
+            return sensors.positions, None, RangeDifferences(doc["deltas"]).deltas
+        c = doc.get("c", SPEED_OF_LIGHT)
+        deltas = RangeDifferences(arrival_times_to_range_diffs(doc["times"], c))
+        return sensors.positions, None, deltas.deltas
+    except (ValueError, OverflowError):
+        return None
+
+
+@pytest.fixture(scope="module")
+def doc_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("documents") / "scenario.json"
+
+
+@pytest.mark.parametrize("kind", ["source", "deltas", "times", "times_c"])
+@settings(max_examples=50)
+@given(data=st.data())
+def test_documents_equal_the_public_constructors_bit_for_bit(doc_path, kind, data):
+    doc = data.draw(_documents(kind))
+    doc_path.write_text(json.dumps(doc))
+    expected = _constructed(doc)
+    try:
+        loaded = load_scenario(doc_path)
+        deltas = document_deltas(loaded).deltas
+    except ScenarioFormatError:
+        assert expected is None, doc
+        return
+    assert expected is not None, doc
+    positions, source, expected_deltas = expected
+    assert _bits(loaded.sensors.positions) == _bits(positions), doc
+    assert (loaded.source is None) == (source is None), doc
+    if source is not None:
+        assert _bits(loaded.source) == _bits(source), doc
+    assert _bits(deltas) == _bits(expected_deltas), doc
+    for array in (loaded.sensors.positions, loaded.source, deltas):
+        assert array is None or array.dtype == np.float64, doc
+    assert not loaded.sensors.positions.flags.writeable and not deltas.flags.writeable

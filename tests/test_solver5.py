@@ -112,6 +112,16 @@ def test_zero_delta_row_uses_cleared_form():
     assert np.linalg.norm(result.position - src) < 1e-9 * np.linalg.norm(src)
 
 
+@pytest.mark.parametrize("deltas", [[0.1, 0.0, 0.2, 0.3], [0.0, 0.1, 0.2, 0.3], [0.1, 0.2, -0.0, 0.3]])
+def test_literal_rows_reject_a_zero_divisor(deltas):
+    # The literal form divides by the pairing's second range difference;
+    # forced where that is zero it is a typed error, not ZeroDivisionError.
+    rel = reference_frame(SensorArray(CANONICAL_SENSORS))
+    with pytest.raises(DegenerateDeltasError, match="divides by a zero range difference"):
+        build_five_sensor_system(rel, deltas, row_form="literal")
+    assert build_five_sensor_system(rel, deltas, row_form="cleared").scaled_rows == (True,) * 3
+
+
 def test_pairing_fallback_on_double_zero_deltas():
     # Source equidistant from sensors (0,1) and (0,2): the default first
     # pairing (2,1) has both deltas zero, so a rotated pairing set is used.

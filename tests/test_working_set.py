@@ -1,11 +1,24 @@
-"""Memory held by a sweep: bounded by the batch size, and small per row."""
+"""Memory held by a sweep: bounded by the batch size, and small per row;
+and memory kept by a solver's result: no more than its records need."""
 
+import dataclasses
+import gc
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from tdoaloc import DEFAULT_SCALE_GRID, ExperimentConfig, run_sweep
+from tdoaloc import (
+    DEFAULT_SCALE_GRID,
+    ExperimentConfig,
+    LocalizationResult,
+    localize,
+    range_differences,
+    run_sweep,
+    sample_scenario,
+)
 from tdoaloc._batch import solve_scale
+from tdoaloc.result import Candidate
 from tdoaloc._streams import uniforms
 from tdoaloc.montecarlo import BATCH_ROWS
 
@@ -50,3 +63,57 @@ def test_batch_peak_bytes_per_row():
     draws = uniforms(11, 0, 0, n, 15)
     assert _peak_bytes(uniforms, 11, 0, 0, n, 15) <= UNIFORMS_BYTES_PER_ROW * n
     assert _peak_bytes(solve_scale, draws, 4, 1e-3) <= SOLVE_BYTES_PER_ROW * n
+
+
+def _kept_bytes(make, n=2000) -> float:
+    """Bytes traced per result for ``n`` results of ``make`` kept alive."""
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing")
+    for _ in range(100):  # lazy set-up and caches, outside the count
+        make()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = [make() for _ in range(n)]
+        return (tracemalloc.get_traced_memory()[0] - before) / len(kept)
+    finally:
+        tracemalloc.stop()
+
+
+def _fresh(cls):
+    """A new frozen dataclass with the fields of ``cls``. Its constructor
+    gives a record the size a ``cls`` constructor gives one; a ``cls``
+    record itself may not, once any has been given its own ``__dict__``,
+    which on CPython 3.11 can enlarge later instances of the class."""
+    names = [field.name for field in dataclasses.fields(cls)]
+    return dataclasses.make_dataclass(f"Fresh{cls.__name__}", names, frozen=True)
+
+
+@pytest.mark.parametrize("n_sensors", [4, 5])
+def test_solver_results_keep_no_more_than_constructed_records(n_sensors):
+    # The solvers build LocalizationResult and Candidate without their
+    # dataclass __init__. Built that way, a record must keep the size a
+    # constructor gives it: filled through __dict__.update, a result keeps
+    # about 200 B more. The 1 B allows for allocator noise.
+    scenario = sample_scenario(np.random.default_rng(11), n_sensors, 1.0)
+    sensors, deltas = scenario.sensors, range_differences(scenario)
+    result_cls, candidate_cls = _fresh(LocalizationResult), _fresh(Candidate)
+
+    def constructed():
+        # The solver's fields, shared, in records from the constructors.
+        r = localize(sensors, deltas)
+        candidates = tuple([
+            candidate_cls(reference_range=c.reference_range, position=c.position,
+                          residual=c.residual)
+            for c in r.candidates
+        ])
+        return result_cls(
+            position=r.position, method=r.method, candidates=candidates,
+            ambiguity_resolved_by=r.ambiguity_resolved_by, ambiguous=r.ambiguous,
+            diagnostics=r.diagnostics,
+        )
+
+    assert len(localize(sensors, deltas).candidates) == (2 if n_sensors == 4 else 0)
+    solved = _kept_bytes(lambda: localize(sensors, deltas))
+    assert solved <= _kept_bytes(constructed) + 1.0, solved
