@@ -48,30 +48,18 @@ def _check_array(rows) -> None:
         raise ValueError(f"sensors closer than {EPS_SEP} m make the geometry singular")
 
 
-def _set(record, **fields):
-    """Set the checked ``fields`` of the frozen ``record``, arrays read-only."""
-    for name, value in fields.items():
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-        object.__setattr__(record, name, value)
-    return record
-
-
-def _record(cls, **fields):
-    """A ``cls`` record of already-checked fields: ``__post_init__`` does not run."""
-    return _set(object.__new__(cls), **fields)
-
-
-_setattr = object.__setattr__
-
-
-def _array_record(cls, name: str, values):
-    """A ``cls`` record whose one field ``name`` is a read-only array of the
-    checked floats ``values``: :func:`_record` without its keyword loop."""
-    array = np.array(values)
+def _readonly(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only."""
     array.setflags(write=False)
+    return array
+
+
+def _checked(cls, name: str, values):
+    """A ``cls`` record whose one field ``name`` is a read-only array of the
+    floats ``values``, which have already passed ``cls``'s checks: its
+    constructor, which would check them again, does not run."""
     record = object.__new__(cls)
-    _setattr(record, name, array)
+    object.__setattr__(record, name, _readonly(np.array(values)))
     return record
 
 
@@ -90,7 +78,7 @@ class SensorArray:
         if not np.all(np.isfinite(pos)):
             raise ValueError("sensor positions must be finite")
         _check_array(pos.tolist())
-        _set(self, positions=pos)
+        object.__setattr__(self, "positions", _readonly(pos))
 
     @property
     def n_sensors(self) -> int:
@@ -127,7 +115,7 @@ class RangeDifferences:
             )
         if not all(map(math.isfinite, d.tolist())):
             raise ValueError("range differences must be finite")
-        _set(self, deltas=d)
+        object.__setattr__(self, "deltas", _readonly(d))
 
     @property
     def n_sensors(self) -> int:
@@ -155,7 +143,7 @@ class Scenario:
         if not np.all(np.isfinite(src)):
             raise ValueError("source position must be finite")
         _check_clearance(_squared_distances(self.sensors.positions.tolist(), src.tolist()))
-        _set(self, source=src)
+        object.__setattr__(self, "source", _readonly(src))
 
 
 def _check_clearance(sq) -> None:
@@ -183,8 +171,7 @@ def _frame(rows) -> tuple[list, list, tuple[float, ...], float]:
 def reference_frame(sensors: SensorArray) -> ReferencedArray:
     """Rebase the array on its reference sensor (sensor 0 at the origin)."""
     rel, origin, sq, baseline = _frame(sensors.positions.tolist())
-    return _record(ReferencedArray, rel_positions=np.array(rel), origin=np.array(origin),
-                   sq=sq, baseline=baseline)
+    return ReferencedArray(_readonly(np.array(rel)), _readonly(np.array(origin)), sq, baseline)
 
 
 def _forward(sq) -> list[float]:
@@ -206,7 +193,10 @@ def arrival_times_to_range_diffs(times, c: float = SPEED_OF_LIGHT) -> np.ndarray
     float range is inf, without a warning; ``RangeDifferences`` rejects it."""
     if not c > 0.0:
         raise ValueError(f"propagation speed must be positive, got {c}")
-    t = np.asarray(times, dtype=float).tolist()
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1:
+        raise ValueError(f"arrival times must be a 1-D sequence, got shape {t.shape}")
+    t = t.tolist()
     return np.array([c * (v - t[0]) for v in t[1:]])
 
 
@@ -273,17 +263,6 @@ def _read(path) -> bytes:
         os.close(fd)
 
 
-def _document(sensors, source, deltas) -> ScenarioDocument:
-    """``ScenarioDocument(sensors, source, deltas)`` without the cost of its
-    ``__init__``; the fields are set as that sets them, in field order, so
-    the record keeps its class's attribute layout (see ``result._result``)."""
-    doc = object.__new__(ScenarioDocument)
-    _setattr(doc, "sensors", sensors)
-    _setattr(doc, "source", source)
-    _setattr(doc, "deltas", deltas)
-    return doc
-
-
 def load_scenario(path) -> ScenarioDocument:
     """Parse and validate a scenario document. One read takes the file, one
     pass converts and checks every value, and each record is built once
@@ -319,7 +298,7 @@ def load_scenario(path) -> ScenarioDocument:
         _check_array(rows)
     except ValueError as err:
         raise ScenarioFormatError(f"bad sensor list: {err}") from err
-    sensors = _array_record(SensorArray, "positions", rows)
+    sensors = _checked(SensorArray, "positions", rows)
     n = len(rows)
 
     source = deltas = None
@@ -339,11 +318,11 @@ def load_scenario(path) -> ScenarioDocument:
                 d = [c * (v - t[0]) for v in t[1:]]
                 if not all(map(math.isfinite, d)):
                     raise ValueError("range differences must be finite")
-            deltas = _array_record(RangeDifferences, "deltas", d)
+            deltas = _checked(RangeDifferences, "deltas", d)
     except ValueError as err:
         raise ScenarioFormatError(str(err)) from err
 
-    return _document(sensors, source, deltas)
+    return ScenarioDocument(sensors, source, deltas)
 
 
 def write_scenario(out, scenario: Scenario) -> None:
@@ -377,4 +356,4 @@ def document_deltas(doc: ScenarioDocument) -> RangeDifferences:
             raise ValueError("range differences must be finite")
     except ValueError as err:
         raise ScenarioFormatError(f"bad source: {err}") from err
-    return _array_record(RangeDifferences, "deltas", d)
+    return _checked(RangeDifferences, "deltas", d)

@@ -37,6 +37,8 @@ class LocalizationResult:
     is set exactly when two candidates are admissible, i.e. both solve the
     unsquared range-difference equations, so the measurements are met exactly
     by two positions and ``position`` is one of them chosen without a prior.
+    Only four-sensor solves fill ``candidates``; there ``position`` is the
+    chosen candidate's ``position`` array itself, not a copy.
     """
 
     position: np.ndarray  # absolute, m
@@ -46,29 +48,3 @@ class LocalizationResult:
     ambiguous: bool = False
     diagnostics: dict = field(default_factory=dict)
 
-
-# The solvers build their records through these, without the cost of the
-# dataclass ``__init__`` and its default factory. Each field is set as
-# ``__init__`` sets it, in field order, so the record keeps its class's
-# shared attribute layout and size; filled through ``__dict__.update``
-# instead, a result keeps about 200 B more.
-_setattr = object.__setattr__
-
-
-def _candidate(reference_range: float, position: np.ndarray, residual: float) -> Candidate:
-    candidate = object.__new__(Candidate)
-    _setattr(candidate, "reference_range", reference_range)
-    _setattr(candidate, "position", position)
-    _setattr(candidate, "residual", residual)
-    return candidate
-
-
-def _result(position, method, candidates, resolved, ambiguous, diagnostics) -> LocalizationResult:
-    result = object.__new__(LocalizationResult)
-    _setattr(result, "position", position)
-    _setattr(result, "method", method)
-    _setattr(result, "candidates", candidates)
-    _setattr(result, "ambiguity_resolved_by", resolved)
-    _setattr(result, "ambiguous", ambiguous)
-    _setattr(result, "diagnostics", diagnostics)
-    return result

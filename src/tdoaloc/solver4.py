@@ -33,7 +33,7 @@ from .measurement import (
     _squared_distances,
     as_range_differences,
 )
-from .result import AmbiguityResolution, LocalizationResult, Method, _candidate, _result
+from .result import AmbiguityResolution, Candidate, LocalizationResult, Method
 
 # Tolerances separating analytic degeneracy from round-off. EPS_LIN detects a
 # vanishing quadratic leading coefficient; EPS_DISC clamps a barely negative
@@ -227,7 +227,7 @@ def _resolve(candidates, rel, origin, d, baseline: float, diagnostics: dict) -> 
         # The residual stays a numpy dot, which rounds unlike a Python sum.
         mismatch = np.array([(r - r0) - v for r, v in zip(ranges[1:], d)])
         residual = float(mismatch.dot(mismatch))
-        scored.append(_candidate(float(rho), pos, residual))
+        scored.append(Candidate(float(rho), pos, residual))
 
     best = min(range(len(scored)), key=lambda i: scored[i].residual)
     ambiguous = False
@@ -242,8 +242,8 @@ def _resolve(candidates, rel, origin, d, baseline: float, diagnostics: dict) -> 
         # slack below zero.
         margin = min(c.reference_range for c in scored) + min(d)
         ambiguous = margin >= -EPS_RHO_REL * baseline
-    return _result(scored[best].position, Method.FOUR_SENSOR, tuple(scored), resolved, ambiguous,
-                   diagnostics)
+    return LocalizationResult(scored[best].position, Method.FOUR_SENSOR, tuple(scored), resolved,
+                              ambiguous, diagnostics)
 
 
 def resolve_ambiguity(

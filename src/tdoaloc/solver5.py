@@ -23,7 +23,7 @@ from .measurement import (
     _frame,
     as_range_differences,
 )
-from .result import AmbiguityResolution, LocalizationResult, Method, _result
+from .result import AmbiguityResolution, LocalizationResult, Method
 
 # Relative (to the longest reference baseline) range-difference magnitude
 # below which a row switches to the delta-cleared form. The literal row form
@@ -177,14 +177,14 @@ def solve_five_sensor(sensors: SensorArray, deltas) -> LocalizationResult:
             raise NoRealSolutionError(
                 "range differences too large for the array: no finite position"
             )
-        return _result(np.array(position), Method.FIVE_SENSOR, (),
-                       AmbiguityResolution.NOT_APPLICABLE, False, {
-                           "pivots": pivots,
-                           "pivot_ratio": min(pivots) / max(pivots),
-                           "pairings": pairings,
-                           "scaled_rows": scaled,
-                           "pairing_retries": attempt,
-                       })
+        return LocalizationResult(np.array(position), Method.FIVE_SENSOR, (),
+                                  AmbiguityResolution.NOT_APPLICABLE, False, {
+                                      "pivots": pivots,
+                                      "pivot_ratio": min(pivots) / max(pivots),
+                                      "pairings": pairings,
+                                      "scaled_rows": scaled,
+                                      "pairing_retries": attempt,
+                                  })
     if singular_err is None:  # every pairing set was degenerate
         raise DegenerateDeltasError(_ALL_DEGENERATE)
     raise SingularMatrixError(

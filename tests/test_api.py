@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -113,9 +114,51 @@ def test_demo_runs(demo):
 
 def test_import_loads_the_cli_module():
     # The benchmark's per-layer tracer finds the CLI layer in sys.modules
-    # after a plain ``import tdoaloc``.
+    # after a plain ``import tdoaloc``. The sweep kernel's modules load only
+    # when run_sweep first runs, so their import stays out of every caller
+    # that never sweeps.
+    modules = ("tdoaloc.cli", "tdoaloc._batch", "tdoaloc._streams")
+    probe = f"import sys, tdoaloc; print([m in sys.modules for m in {modules!r}])"
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, tdoaloc; print('tdoaloc.cli' in sys.modules)"],
+        [sys.executable, "-c", probe],
         capture_output=True, text=True, check=True, env=_subprocess_env(),
     ).stdout.strip()
-    assert out == "True"
+    assert out == "[True, False, False]"
+
+
+def _object_new_owners(path: Path) -> list[str]:
+    """``module.function`` for each ``object.__new__`` in ``path``, named by
+    its innermost enclosing function (``<module>`` at top level)."""
+    owners = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        elif (isinstance(node, ast.Attribute) and node.attr == "__new__"
+              and isinstance(node.value, ast.Name) and node.value.id == "object"):
+            owners.append(f"{path.stem}.{owner}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return owners
+
+
+def test_one_builder_skips_a_constructor():
+    # Records are built by their constructors, except where measurement._checked
+    # builds one from values whose checks already ran; a second such builder
+    # would be a second way to build the same record.
+    package = Path(tdoaloc.__file__).parent
+    owners = [o for path in sorted(package.glob("*.py")) for o in _object_new_owners(path)]
+    assert owners == ["measurement._checked"]
+
+
+def test_readme_python_blocks_run():
+    readme = (DEMOS.parent / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    assert len(blocks) == 2
+    proc = subprocess.run([sys.executable, "-c", "\n".join(blocks)], capture_output=True,
+                          text=True, env=_subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    # The first block's position, candidates and ambiguous flag, as its comments give them.
+    assert proc.stdout.splitlines()[:3] == ["[2. 3. 4.]", "()", "False"]

@@ -105,6 +105,10 @@ def test_tdoa_to_range_diff():
     for c in (0.0, -1.0):
         with pytest.raises(ValueError):
             arrival_times_to_range_diffs([0.0, 1.0], c=c)
+    # A scalar or a 2-D input is a ValueError naming its shape, not a TypeError.
+    for times, shape in ((5.0, r"\(\)"), ([[0.0, 1.0], [2.0, 3.0]], r"\(2, 2\)")):
+        with pytest.raises(ValueError, match=f"got shape {shape}"):
+            arrival_times_to_range_diffs(times, 343.0)
     # Same IEEE operations as the per-element c * (t_k - t_0).
     t = np.array([0.25, -1e-3, 7e-4, 3.3e-3])
     expected = [343.0 * float(tk - t[0]) for tk in t[1:]]

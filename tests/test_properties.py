@@ -60,7 +60,7 @@ from tdoaloc import (  # noqa: E402
 )
 from tdoaloc._batch import _solve3, solve_scale  # noqa: E402
 from tdoaloc.geom3 import solve3_pivoted  # noqa: E402
-from tdoaloc.measurement import EPS_SEP, _record  # noqa: E402
+from tdoaloc.measurement import EPS_SEP, _checked  # noqa: E402
 from tdoaloc.solver5 import PAIRING_FALLBACKS  # noqa: E402
 
 THRESHOLDS = (1e-6, 1e-3)
@@ -192,7 +192,7 @@ def test_reference_frame_squares_sum_as_einsum(data):
         st.floats(-9.999, 9.999), st.integers(-spread, spread),
     )
     rows = data.draw(st.lists(coordinate, min_size=3 * n, max_size=3 * n))
-    sensors = _record(SensorArray, positions=np.reshape(rows, (n, 3)))
+    sensors = _checked(SensorArray, "positions", np.reshape(rows, (n, 3)))
     rel = reference_frame(sensors)
     with np.errstate(over="ignore", invalid="ignore"):
         offsets = sensors.positions - sensors.positions[0]

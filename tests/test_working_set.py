@@ -92,10 +92,10 @@ def _fresh(cls):
 
 @pytest.mark.parametrize("n_sensors", [4, 5])
 def test_solver_results_keep_no_more_than_constructed_records(n_sensors):
-    # The solvers build LocalizationResult and Candidate without their
-    # dataclass __init__. Built that way, a record must keep the size a
-    # constructor gives it: filled through __dict__.update, a result keeps
-    # about 200 B more. The 1 B allows for allocator noise.
+    # A solver's LocalizationResult and Candidate records must keep the size
+    # their constructors give them. A fast path that filled them through
+    # __dict__.update instead would keep about 200 B more per result. The
+    # 1 B allows for allocator noise.
     scenario = sample_scenario(np.random.default_rng(11), n_sensors, 1.0)
     sensors, deltas = scenario.sensors, range_differences(scenario)
     result_cls, candidate_cls = _fresh(LocalizationResult), _fresh(Candidate)
