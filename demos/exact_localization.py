@@ -20,14 +20,13 @@ deltas = tl.range_differences(scenario)
 print("true source:        ", source)
 print("range differences m:", np.round(deltas.deltas, 6))
 
-rel = tl.reference_frame(sensors5)
-system = tl.build_five_sensor_system(rel, deltas)
-print("system matrix:\n", np.round(system.matrix, 4))
-print("pairings used:", system.pairings, " cleared rows:", system.scaled_rows)
-
 result = tl.solve_five_sensor(sensors5, deltas)
+diag = result.diagnostics
+print("pairings used:", diag["pairings"], " cleared rows:", diag["scaled_rows"],
+      " pairing retries:", diag["pairing_retries"])
+print("pivot magnitudes:", np.round(diag["pivots"], 4),
+      " pivot ratio:", round(diag["pivot_ratio"], 4))
 print("estimate:", result.position, " method:", result.method.value)
-print("pivot magnitudes:", np.round(result.diagnostics["pivots"], 4))
 print("error:", np.linalg.norm(result.position - source))
 
 print()
@@ -35,19 +34,18 @@ print("=== four sensors: linear solve + quadratic + residual choice ===")
 sensors4 = tl.SensorArray(sensors5.positions[:4])
 scenario4 = tl.Scenario(sensors=sensors4, source=source)
 deltas4 = tl.range_differences(scenario4)
-system4 = tl.build_four_sensor_system(tl.reference_frame(sensors4), deltas4)
-print("candidate line: position = range * slope - offset")
-print("  slope :", np.round(system4.slope, 6))
-print("  offset:", np.round(system4.offset, 6))
-
-roots = tl.solve_reference_range(system4)
-print("quadratic coefficients (a, b_half, c):",
-      tuple(round(v, 6) for v in (roots.a, roots.b_half, roots.c_coef)))
-print("retained nonnegative roots:", roots.roots,
-      " (true source-to-reference range:", np.linalg.norm(source), ")")
-
 result4 = tl.solve_four_sensor(sensors4, deltas4)
-print("estimate:", result4.position, " resolved by:", result4.ambiguity_resolved_by.value)
+diag4 = result4.diagnostics
+print("candidate line: position = range * slope - offset, from one 3x3 solve")
+print("pivot magnitudes:", np.round(diag4["pivots"], 4))
+print("quadratic in the reference range, a*r^2 - 2*b_half*r + c = 0")
+print("  (a, b_half, c):", tuple(round(v, 6) for v in diag4["quadratic"]))
+print("  discriminant:  ", round(diag4["discriminant"], 6),
+      " linear fallback:", diag4["linear_fallback"])
+print("retained nonnegative roots:", [c.reference_range for c in result4.candidates],
+      " (true source-to-reference range:", np.linalg.norm(source), ")")
+print("estimate:", result4.position, " resolved by:", result4.ambiguity_resolved_by.value,
+      " ambiguous:", result4.ambiguous)
 for i, cand in enumerate(result4.candidates):
     print(f"  candidate {i}: range={cand.reference_range:.6f}"
           f" residual={cand.residual:.3e} position={np.round(cand.position, 9)}")

@@ -27,7 +27,6 @@ from .measurement import (
     document_deltas,
     load_scenario,
     range_differences,
-    reference_frame,
     write_scenario,
 )
 from .montecarlo import (
@@ -40,14 +39,8 @@ from .montecarlo import (
     sample_scenario,
 )
 from .result import AmbiguityResolution, LocalizationResult, Method
-from .solver4 import (
-    build_four_sensor_system,
-    candidate_positions,
-    resolve_ambiguity,
-    solve_four_sensor,
-    solve_reference_range,
-)
-from .solver5 import build_five_sensor_system, solve_five_sensor
+from .solver4 import solve_four_sensor
+from .solver5 import solve_five_sensor
 
 # bench/tracing.py finds every layer, the CLI included, in sys.modules.
 from . import cli  # noqa: F401
@@ -75,21 +68,15 @@ __all__ = [
     "SensorArray",
     "SingularMatrixError",
     "arrival_times_to_range_diffs",
-    "build_five_sensor_system",
-    "build_four_sensor_system",
-    "candidate_positions",
     "document_deltas",
     "instance_rng",
     "load_scenario",
     "localize",
     "range_differences",
-    "reference_frame",
-    "resolve_ambiguity",
     "run_instance",
     "run_sweep",
     "sample_scenario",
     "solve_four_sensor",
     "solve_five_sensor",
-    "solve_reference_range",
     "write_scenario",
 ]

@@ -11,7 +11,7 @@ the scalar order of operations; the reductions follow the scalar code:
 - squared distances (sensor pairs, source gaps, candidate ranges) are the
   column sums ``(x + y) + z`` of the scalar Python sums;
 - squared baselines are the column sums ``(x * x + z * z) + y * y`` of
-  ``reference_frame``, the order in which ``np.einsum("ij,ij->i")`` sums a
+  ``measurement._frame``, the order in which ``np.einsum("ij,ij->i")`` sums a
   3-vector (``(x + y) + z`` differs from it on about a quarter of random rows);
 - every 1-D ``@`` and ``np.linalg.norm`` (the quadratic's coefficients,
   residuals, relative errors) stays :func:`_row_dot` on ``(N, 3)`` rows.

@@ -86,17 +86,6 @@ class SensorArray:
 
 
 @dataclass(frozen=True)
-class ReferencedArray:
-    """Sensor positions relative to the reference sensor, the origin, and
-    the squared baselines both solvers assemble their rows from."""
-
-    rel_positions: np.ndarray  # (n, 3); row 0 is exactly zero
-    origin: np.ndarray  # (3,), the absolute reference-sensor position
-    sq: tuple[float, ...]  # squared norm of each rel_positions row; sq[0] is 0.0
-    baseline: float  # longest reference baseline, sqrt(max(sq)), m
-
-
-@dataclass(frozen=True)
 class RangeDifferences:
     """Measured range differences (meters) against the reference sensor.
 
@@ -153,8 +142,10 @@ def _check_clearance(sq) -> None:
 
 
 def _frame(rows) -> tuple[list, list, tuple[float, ...], float]:
-    """:func:`reference_frame` on Python floats: the sensor rows rebased on
-    row 0, that row (the origin), the squared norms and the longest baseline.
+    """The reference frame both solvers assemble their rows in, on Python
+    floats: the sensor rows rebased on row 0 (the reference sensor), that
+    row (the origin), the squared norms (the squared baselines) and the
+    longest baseline.
 
     Each squared norm is ``(x * x + z * z) + y * y``, the order in which
     ``np.einsum("ij,ij->i")`` sums a 3-vector, so it equals that einsum bit
@@ -166,12 +157,6 @@ def _frame(rows) -> tuple[list, list, tuple[float, ...], float]:
     rel = [[x - ox, y - oy, z - oz] for x, y, z in rows]
     sq = tuple([(x * x + z * z) + y * y for x, y, z in rel])
     return rel, origin, sq, math.sqrt(max(sq))
-
-
-def reference_frame(sensors: SensorArray) -> ReferencedArray:
-    """Rebase the array on its reference sensor (sensor 0 at the origin)."""
-    rel, origin, sq, baseline = _frame(sensors.positions.tolist())
-    return ReferencedArray(_readonly(np.array(rel)), _readonly(np.array(origin)), sq, baseline)
 
 
 def _forward(sq) -> list[float]:

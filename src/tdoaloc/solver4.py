@@ -15,24 +15,12 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateLinearError,
-    NoCandidatesError,
-    NoRealSolutionError,
-)
+from .errors import DegenerateLinearError, NoCandidatesError, NoRealSolutionError
 from .geom3 import _eliminate
-from .measurement import (
-    RangeDifferences,
-    ReferencedArray,
-    SensorArray,
-    _frame,
-    _squared_distances,
-    as_range_differences,
-)
+from .measurement import SensorArray, _frame, _squared_distances, as_range_differences
 from .result import AmbiguityResolution, Candidate, LocalizationResult, Method
 
 # Tolerances separating analytic degeneracy from round-off. EPS_LIN detects a
@@ -55,64 +43,13 @@ _DOT_SAFE = 1e150
 _NO_OVERFLOW = contextlib.nullcontext()
 
 
-@dataclass(frozen=True)
-class FourSensorSystem:
-    """Assembled four-sensor system and the solved candidate-line vectors."""
-
-    matrix: np.ndarray        # (3, 3): doubled, negated sensor offsets
-    range_vector: np.ndarray  # (3,): doubled range differences
-    const_vector: np.ndarray  # (3,): squared baselines minus squared deltas
-    slope: np.ndarray         # (3,): position change per unit reference range
-    offset: np.ndarray        # (3,): candidate line is range*slope - offset
-    baseline: float           # longest reference baseline, m
-    pivots: tuple[float, float, float]
-
-
-@dataclass(frozen=True)
-class QuadraticRoots:
-    """Reference-range quadratic ``a*r^2 - 2*b_half*r + c_coef = 0``."""
-
-    a: float
-    b_half: float
-    c_coef: float
-    roots: tuple[float, ...]  # retained nonnegative roots, ascending
-    discriminant: float       # raw b_half^2 - a*c_coef before clamping
-    linear_fallback: bool
-
-
 def _line_rows(rel, sq, d) -> list[list[float]]:
     """The four-sensor system on Python floats (``rel`` the referenced rows,
     ``sq`` their squared norms, ``d`` the range differences): per
     non-reference sensor the augmented row of the matrix, the range vector
     and the constant vector, ``[-2 x, -2 y, -2 z, 2 d, sq - d * d]``."""
-    if len(rel) != 4 or len(d) != 3:
-        raise ValueError("four-sensor build needs 4 sensors and 3 range differences")
     return [[-2.0 * x, -2.0 * y, -2.0 * z, 2.0 * v, s - v * v]
             for (x, y, z), s, v in zip(rel[1:], sq[1:], d)]
-
-
-def build_four_sensor_system(
-    rel: ReferencedArray, deltas: RangeDifferences
-) -> FourSensorSystem:
-    """Assemble the linear system tying the position to the reference range.
-
-    Raises:
-        SingularMatrixError: the three non-reference sensors do not span 3D
-            (rank-deficient geometry).
-    """
-    deltas = as_range_differences(deltas)
-    rows = _line_rows(rel.rel_positions.tolist(), rel.sq, deltas.deltas.tolist())
-    system = np.array(rows)
-    (slope, offset), pivots = _eliminate(rows)
-    return FourSensorSystem(
-        matrix=system[:, :3],
-        range_vector=system[:, 3],
-        const_vector=system[:, 4],
-        slope=np.array(slope),
-        offset=np.array(offset),
-        baseline=rel.baseline,
-        pivots=pivots,
-    )
 
 
 def _retain(values, eps_rho: float) -> tuple[float, ...]:
@@ -127,8 +64,21 @@ def _retain(values, eps_rho: float) -> tuple[float, ...]:
 
 
 def _quadratic(slope, offset, baseline: float) -> tuple:
-    """:func:`solve_reference_range` on Python floats: the fields of its
-    :class:`QuadraticRoots`, in order."""
+    """Solve the reference-range quadratic ``a*r^2 - 2*b_half*r + c = 0``
+    of the candidate line ``r * slope - offset``, on Python floats.
+
+    Returns ``(a, b_half, c, roots, discriminant, linear_fallback)``: the
+    retained nonnegative roots ascending, and the raw discriminant
+    ``b_half^2 - a*c`` before clamping. The larger-magnitude root is
+    computed with the sign-matched numerator and the other via the root
+    product, avoiding cancellation near tangency.
+
+    Raises:
+        NoRealSolutionError: discriminant negative beyond round-off
+            (range differences inconsistent with the geometry).
+        DegenerateLinearError: leading coefficient vanishes and no unique
+            linear root exists.
+    """
     xi = np.array(slope)
     eta = np.array(offset)
     # The dots stay numpy's (BLAS ddot, as the batch path's): on an FMA CPU
@@ -173,26 +123,10 @@ def _quadratic(slope, offset, baseline: float) -> tuple:
     return a, b_half, c_coef, _retain(values, eps_rho), disc, linear
 
 
-def solve_reference_range(system: FourSensorSystem) -> QuadraticRoots:
-    """Solve the quadratic for the source-to-reference range.
-
-    The larger-magnitude root is computed with the sign-matched numerator and
-    the other via the root product, avoiding cancellation near tangency.
-
-    Raises:
-        NoRealSolutionError: discriminant negative beyond round-off
-            (range differences inconsistent with the geometry).
-        DegenerateLinearError: leading coefficient vanishes and no unique
-            linear root exists.
-    """
-    return QuadraticRoots(*_quadratic(
-        system.slope.tolist(), system.offset.tolist(), system.baseline
-    ))
-
-
 def _candidates(slope, offset, origin, roots) -> list[tuple[float, np.ndarray, list]]:
-    """:func:`candidate_positions` on Python floats: ``(rho, position,
-    floats)`` per root, the position as an array and as a list of floats."""
+    """The absolute candidate position of each retained range root on the
+    line ``rho * slope - offset``: ``(rho, position, floats)``, the position
+    as an array and as a list of floats."""
     line = list(zip(slope, offset, origin))
     candidates = []
     for rho in roots:
@@ -201,20 +135,15 @@ def _candidates(slope, offset, origin, roots) -> list[tuple[float, np.ndarray, l
     return candidates
 
 
-def candidate_positions(
-    system: FourSensorSystem, roots: QuadraticRoots, origin
-) -> list[tuple[float, np.ndarray]]:
-    """Map retained range roots to absolute candidate positions."""
-    return [(rho, pos) for rho, pos, _ in _candidates(
-        system.slope.tolist(), system.offset.tolist(),
-        np.asarray(origin, dtype=float).tolist(), roots.roots,
-    )]
-
-
 def _resolve(candidates, rel, origin, d, baseline: float, diagnostics: dict) -> LocalizationResult:
-    """:func:`resolve_ambiguity` on Python floats, on candidates as
-    :func:`_candidates` gives them; the result keeps their arrays and the
-    ``diagnostics`` dict."""
+    """Score candidates, as :func:`_candidates` gives them, by their
+    re-predicted range-difference mismatch and keep the best, as
+    :func:`solve_four_sensor` describes; the result keeps their arrays and
+    the ``diagnostics`` dict.
+
+    Raises:
+        NoCandidatesError: the retained-root list was empty.
+    """
     if not candidates:
         raise NoCandidatesError(
             "no nonnegative reference-range root; no candidate positions to score"
@@ -246,12 +175,12 @@ def _resolve(candidates, rel, origin, d, baseline: float, diagnostics: dict) -> 
                               ambiguous, diagnostics)
 
 
-def resolve_ambiguity(
-    candidates: list[tuple[float, np.ndarray]],
-    rel: ReferencedArray,
-    deltas: RangeDifferences,
-) -> LocalizationResult:
-    """Score candidates by re-predicted range-difference mismatch, keep the best.
+def solve_four_sensor(sensors: SensorArray, deltas) -> LocalizationResult:
+    """Localize a source from four sensors and three range differences.
+
+    The pipeline runs on Python floats with no intermediate records: the
+    3x3 solve for the candidate line, the quadratic in the reference range,
+    and residual scoring of its candidates.
 
     Every candidate (with its residual) is retained in the result so callers
     holding priors can re-select. On a residual tie within ``EPS_TIE`` the
@@ -265,27 +194,22 @@ def resolve_ambiguity(
     solves the unsquared ones. Two admissible candidates are then two exact
     solutions of the measurements, which no residual can tell apart.
 
-    Raises:
-        NoCandidatesError: the retained-root list was empty.
-    """
-    deltas = as_range_differences(deltas)
-    return _resolve(
-        [(rho, pos, np.asarray(pos, dtype=float).tolist()) for rho, pos in candidates],
-        rel.rel_positions.tolist(), rel.origin.tolist(), deltas.deltas.tolist(), rel.baseline, {},
-    )
-
-
-def solve_four_sensor(sensors: SensorArray, deltas) -> LocalizationResult:
-    """Localize a source from four sensors and three range differences.
-
-    The pipeline steps run on Python floats, as the stage functions compute
-    them, with no intermediate records.
+    ``diagnostics`` holds the elimination ``pivots`` and ``pivot_ratio``,
+    the ``quadratic`` coefficients ``(a, b_half, c)``, its raw
+    ``discriminant`` and whether it fell back to its ``linear_fallback``.
 
     Raises:
-        SingularMatrixError, NoRealSolutionError, DegenerateLinearError,
-        NoCandidatesError: see the individual pipeline steps.
+        ValueError: the array does not have 4 sensors, or there are not 3
+            range differences.
+        SingularMatrixError: the three non-reference sensors do not span 3D.
+        NoRealSolutionError: the quadratic has no real root (range
+            differences inconsistent with the geometry).
+        DegenerateLinearError: the quadratic degenerates with no unique root.
+        NoCandidatesError: no nonnegative reference-range root.
     """
     deltas = as_range_differences(deltas)
+    if sensors.n_sensors != 4 or deltas.n_sensors != 4:
+        raise ValueError("four-sensor solve needs 4 sensors and 3 range differences")
     d = deltas.deltas.tolist()
     rel, origin, sq, baseline = _frame(sensors.positions.tolist())
     (slope, offset), pivots = _eliminate(_line_rows(rel, sq, d))

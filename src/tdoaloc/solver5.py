@@ -10,19 +10,12 @@ No candidate ambiguity arises on this path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateDeltasError, NoRealSolutionError, SingularMatrixError
 from .geom3 import _eliminate
-from .measurement import (
-    RangeDifferences,
-    ReferencedArray,
-    SensorArray,
-    _frame,
-    as_range_differences,
-)
+from .measurement import SensorArray, _frame, as_range_differences
 from .result import AmbiguityResolution, LocalizationResult, Method
 
 # Relative (to the longest reference baseline) range-difference magnitude
@@ -42,16 +35,6 @@ _ALL_DEGENERATE = (
 )
 
 
-@dataclass(frozen=True)
-class FiveSensorSystem:
-    """Assembled 3x3 position system with its provenance flags."""
-
-    matrix: np.ndarray  # (3, 3); row i comes from pairings[i]
-    rhs: np.ndarray     # (3,)
-    pairings: tuple[tuple[int, int], ...]
-    scaled_rows: tuple[bool, bool, bool]  # True where the cleared form was used
-
-
 # Pairing sets in the order they are tried: chains over the non-reference
 # sensors, the default chain first, then its rotations and reversals. Any of
 # these spans all four measurements; rotating recovers geometries where a
@@ -69,6 +52,11 @@ def _build(r, sq, d, switch: float, pairings, row_form: str):
     three augmented rows ``[matrix | rhs]`` as lists and which of them use
     the cleared form. None if a pairing has two vanishing range differences
     and so carries no position information.
+
+    ``row_form`` ``"auto"`` picks the form per row from the range-difference
+    magnitudes against ``switch``; ``"literal"`` or ``"cleared"`` forces one
+    of the two algebraically identical forms on every row (a test hook, for
+    comparing them).
 
     Raises:
         DegenerateDeltasError: forced literal rows divide by a range
@@ -103,48 +91,21 @@ def _build(r, sq, d, switch: float, pairings, row_form: str):
     return rows, (scaled[0], scaled[1], scaled[2])
 
 
-def build_five_sensor_system(
-    rel: ReferencedArray,
-    deltas: RangeDifferences,
-    row_form: str = "auto",
-) -> FiveSensorSystem:
-    """Assemble the 3x3 linear system for the source position.
-
-    The default pairing set is tried first and rotated alternatives are used
-    if a pairing carries two vanishing range differences. ``row_form`` forces
-    ``"literal"`` or ``"cleared"`` rows for both algebraically identical forms
-    (testing hook); ``"auto"`` picks per row based on the range-difference
-    magnitudes.
-
-    Raises:
-        DegenerateDeltasError: if every pairing set has a pairing whose two
-            range differences vanish.
-    """
-    if row_form not in ("auto", "literal", "cleared"):
-        raise ValueError(f"unknown row_form {row_form!r}")
-    deltas = as_range_differences(deltas)
-    if rel.rel_positions.shape[0] != 5 or deltas.n_sensors != 5:
-        raise ValueError("five-sensor build needs 5 sensors and 4 range differences")
-    r, d, switch = rel.rel_positions.tolist(), deltas.deltas.tolist(), EPS_DELTA * rel.baseline
-    for pairings in PAIRING_FALLBACKS:
-        built = _build(r, rel.sq, d, switch, pairings, row_form)
-        if built is not None:
-            rows, scaled = built
-            system = np.array(rows)
-            return FiveSensorSystem(matrix=system[:, :3], rhs=system[:, 3],
-                                    pairings=pairings, scaled_rows=scaled)
-    raise DegenerateDeltasError(_ALL_DEGENERATE)
-
-
 def solve_five_sensor(sensors: SensorArray, deltas) -> LocalizationResult:
     """Localize a source from five sensors and four range differences.
 
     Returns a single estimate (no sign ambiguity on this path) with pivot
     diagnostics. Pairing sets are rotated if the default set is degenerate
-    or yields a singular system. Runs on Python floats, as
-    :func:`build_five_sensor_system` and ``solve3_pivoted`` compute.
+    or yields a singular system. Runs on Python floats.
+
+    ``diagnostics`` holds the elimination ``pivots`` and ``pivot_ratio``,
+    the ``pairings`` solved, which rows use the cleared form
+    (``scaled_rows``) and how many pairing sets were passed over before
+    them (``pairing_retries``).
 
     Raises:
+        ValueError: the array does not have 5 sensors, or there are not 4
+            range differences.
         SingularMatrixError: sensor geometry leaves the system rank-deficient
             under every pairing set.
         DegenerateDeltasError: no pairing set yields informative equations.

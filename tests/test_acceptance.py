@@ -15,20 +15,18 @@ from tdoaloc import (
     Scenario,
     SensorArray,
     SingularMatrixError,
-    build_five_sensor_system,
     instance_rng,
     localize,
     range_differences,
-    reference_frame,
     run_instance,
     run_sweep,
     sample_scenario,
     solve_five_sensor,
     solve_four_sensor,
-    solve_reference_range,
-    build_four_sensor_system,
-    candidate_positions,
 )
+from tdoaloc.solver4 import _candidates, _quadratic
+from test_solver4 import _line
+from test_solver5 import _system
 
 SEED = 20260809
 THRESHOLDS = (1e-6, 1e-3)
@@ -217,13 +215,12 @@ def test_criterion_4_property_suite():
         d = range_differences(sc)
         if np.min(np.abs(d.deltas)) < 1e-6:
             continue
-        rel = reference_frame(sc.sensors)
-        lit = build_five_sensor_system(rel, d, row_form="literal")
-        clr = build_five_sensor_system(rel, d, row_form="cleared")
-        if max(np.linalg.cond(lit.matrix), np.linalg.cond(clr.matrix)) > 1e8:
+        lit_matrix, lit_rhs, _ = _system(sc.sensors, d, "literal")
+        clr_matrix, clr_rhs, _ = _system(sc.sensors, d, "cleared")
+        if max(np.linalg.cond(lit_matrix), np.linalg.cond(clr_matrix)) > 1e8:
             continue
-        x_lit = np.linalg.solve(lit.matrix, lit.rhs)
-        x_clr = np.linalg.solve(clr.matrix, clr.rhs)
+        x_lit = np.linalg.solve(lit_matrix, lit_rhs)
+        x_clr = np.linalg.solve(clr_matrix, clr_rhs)
         if np.linalg.norm(x_lit - x_clr) >= 1e-9 * np.linalg.norm(x_lit):
             bad += 1
         checked += 1
@@ -236,15 +233,13 @@ def test_criterion_4_property_suite():
     while checked < 500:
         sc = _random_scenario(rng, 4)
         try:
-            system = build_four_sensor_system(
-                reference_frame(sc.sensors), range_differences(sc)
-            )
-            roots = solve_reference_range(system)
+            _, slope, offset, _, baseline = _line(sc.sensors, range_differences(sc))
+            a, b_half, c_coef, roots, _, _ = _quadratic(slope, offset, baseline)
         except SingularMatrixError:
             continue
-        for rho in roots.roots:
-            resid = roots.a * rho * rho - 2.0 * roots.b_half * rho + roots.c_coef
-            if abs(resid) >= 1e-8 * max(abs(roots.a) * rho * rho, roots.c_coef):
+        for rho in roots:
+            resid = a * rho * rho - 2.0 * b_half * rho + c_coef
+            if abs(resid) >= 1e-8 * max(abs(a) * rho * rho, c_coef):
                 bad += 1
         checked += 1
     failures["b_root_residual"] = bad
@@ -255,14 +250,13 @@ def test_criterion_4_property_suite():
     checked = 0
     while checked < 500:
         sc = _random_scenario(rng, 4)
-        rel = reference_frame(sc.sensors)
         try:
-            system = build_four_sensor_system(rel, range_differences(sc))
-            roots = solve_reference_range(system)
+            _, slope, offset, origin, baseline = _line(sc.sensors, range_differences(sc))
+            roots = _quadratic(slope, offset, baseline)[3]
         except SingularMatrixError:
             continue
-        for rho, pos in candidate_positions(system, roots, rel.origin):
-            if abs(np.linalg.norm(pos - rel.origin) - rho) > 1e-8 * max(rho, 1e-12):
+        for rho, pos, _ in _candidates(slope, offset, origin, roots):
+            if abs(np.linalg.norm(pos - origin) - rho) > 1e-8 * max(rho, 1e-12):
                 bad += 1
         checked += 1
     failures["c_range_consistency"] = bad

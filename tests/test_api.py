@@ -38,17 +38,11 @@ ROOT_NAMES = {
     "document_deltas",
     "load_scenario",
     "range_differences",
-    "reference_frame",
     "write_scenario",
     # solvers
-    "build_five_sensor_system",
-    "build_four_sensor_system",
-    "candidate_positions",
     "localize",
-    "resolve_ambiguity",
     "solve_five_sensor",
     "solve_four_sensor",
-    "solve_reference_range",
     # Monte Carlo
     "DEFAULT_SCALE_GRID",
     "ExperimentConfig",
@@ -60,7 +54,7 @@ ROOT_NAMES = {
 
 
 def test_all_is_the_agreed_names():
-    assert len(ROOT_NAMES) == 37
+    assert len(ROOT_NAMES) == 31
     assert len(tdoaloc.__all__) == len(set(tdoaloc.__all__))
     assert set(tdoaloc.__all__) == ROOT_NAMES
 
@@ -68,6 +62,32 @@ def test_all_is_the_agreed_names():
 def test_every_listed_name_resolves():
     for name in tdoaloc.__all__:
         assert getattr(tdoaloc, name) is not None, name
+
+
+# The diagnostics keys of each solver's results, as the README's table lists them.
+DIAGNOSTICS = {
+    4: {"pivots", "pivot_ratio", "quadratic", "discriminant", "linear_fallback"},
+    5: {"pivots", "pivot_ratio", "pairings", "scaled_rows", "pairing_retries"},
+}
+
+
+# One generic solve per array size, and one that takes the path named.
+@pytest.mark.parametrize("sensors, source, path, taken", [
+    ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], (2, 3, 4), "linear_fallback", False),
+    # Leading coefficient exactly 0.
+    ([(0.25, -0.25, 0), (-0.5, 0, 0.25), (0, 0, -0.25), (0.25, -0.375, -0.25)],
+     (-0.25, 0.125, 0), "linear_fallback", True),
+    ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], (2, 3, 4), "pairing_retries", False),
+    # Equidistant from sensors 0, 1 and 2: the default pairing set carries no
+    # information.
+    ([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0.3, 0.4, 1.7), (1.2, -0.7, 0.4)],
+     (1, 1, 1.5), "pairing_retries", True),
+])
+def test_diagnostics_keys_are_fixed(sensors, source, path, taken):
+    array = tdoaloc.SensorArray(sensors)
+    result = tdoaloc.localize(array, tdoaloc.range_differences(tdoaloc.Scenario(array, source)))
+    assert set(result.diagnostics) == DIAGNOSTICS[len(sensors)]
+    assert bool(result.diagnostics[path]) is taken
 
 
 def _demo_root_names(source: str) -> set[str]:

@@ -14,10 +14,9 @@ from tdoaloc import (
     document_deltas,
     load_scenario,
     range_differences,
-    reference_frame,
     write_scenario,
 )
-from tdoaloc.measurement import _squared_distances
+from tdoaloc.measurement import _frame, _squared_distances
 
 CANONICAL_SENSORS_5 = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
 CANONICAL_SOURCE = (2, 3, 4)
@@ -37,28 +36,28 @@ def _distance_oracle_deltas(sensors, source):
 
 def test_reference_frame_subtracts_first_sensor():
     arr = SensorArray([(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 3)])
-    rel = reference_frame(arr)
-    np.testing.assert_array_equal(rel.origin, [1.0, 1.0, 1.0])
-    np.testing.assert_array_equal(rel.rel_positions[0], [0.0, 0.0, 0.0])
-    np.testing.assert_array_equal(rel.rel_positions[1], [1.0, 0.0, 0.0])
+    rel, origin, sq, baseline = _frame(arr.positions.tolist())
+    assert origin == [1.0, 1.0, 1.0]
+    assert rel[0] == [0.0, 0.0, 0.0]
+    assert rel[1] == [1.0, 0.0, 0.0]
     # Squared baselines, reference first, and the longest baseline.
-    assert rel.sq == (0.0, 1.0, 1.0, 4.0)
-    assert rel.baseline == 2.0
+    assert sq == (0.0, 1.0, 1.0, 4.0)
+    assert baseline == 2.0
 
 
 def test_reference_frame_identity_when_already_referenced():
     arr = SensorArray(CANONICAL_SENSORS_5)
-    rel = reference_frame(arr)
-    np.testing.assert_array_equal(rel.rel_positions, arr.positions)
-    np.testing.assert_array_equal(rel.origin, [0.0, 0.0, 0.0])
+    rel, origin, _, _ = _frame(arr.positions.tolist())
+    np.testing.assert_array_equal(rel, arr.positions)
+    assert origin == [0.0, 0.0, 0.0]
 
 
 def test_reference_frame_first_row_always_zero():
     rng = np.random.default_rng(3)
     for _ in range(20):
         arr = SensorArray(rng.uniform(-5, 5, (5, 3)))
-        rel = reference_frame(arr)
-        np.testing.assert_array_equal(rel.rel_positions[0], [0.0, 0.0, 0.0])
+        rel, _, _, _ = _frame(arr.positions.tolist())
+        assert rel[0] == [0.0, 0.0, 0.0]
 
 
 def test_true_ranges_simple():

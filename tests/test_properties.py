@@ -7,10 +7,10 @@ systems fail the rank test. The examples lean on the edges where the two
 paths could part: tied pivots, zero factors, non-finite entries, extreme
 magnitudes, and rows just either side of each test that makes a row generic.
 
-The scalar solvers run the stages on Python floats, with numpy only for the
-dot products; they must equal the composition of the public stage functions
-bit for bit, and ``reference_frame``'s squared baselines must equal the
-``np.einsum`` both paths once used.
+The scalar solvers run on Python floats, with numpy only for the dot
+products; on any input they must return a finite position and finite
+candidates or raise a ``LocalizationError``, and the reference frame's
+squared baselines must equal the ``np.einsum`` both paths once used.
 
 Scenario documents go through ``load_scenario`` and ``document_deltas``,
 which check each value once and build their records without the public
@@ -33,35 +33,24 @@ from test_batch import SPECIAL, _Draws, _scalar_losing  # noqa: E402
 
 from tdoaloc import (  # noqa: E402
     SPEED_OF_LIGHT,
-    AmbiguityResolution,
     LocalizationError,
-    LocalizationResult,
-    Method,
-    NoRealSolutionError,
     RangeDifferences,
     Scenario,
     ScenarioFormatError,
     SensorArray,
     SingularMatrixError,
     arrival_times_to_range_diffs,
-    build_five_sensor_system,
-    build_four_sensor_system,
-    candidate_positions,
     document_deltas,
     load_scenario,
+    localize,
     range_differences,
-    reference_frame,
-    resolve_ambiguity,
     run_instance,
     sample_scenario,
-    solve_five_sensor,
-    solve_four_sensor,
-    solve_reference_range,
 )
 from tdoaloc._batch import _solve3, solve_scale  # noqa: E402
-from tdoaloc.geom3 import solve3_pivoted  # noqa: E402
-from tdoaloc.measurement import EPS_SEP, _checked  # noqa: E402
-from tdoaloc.solver5 import PAIRING_FALLBACKS  # noqa: E402
+from tdoaloc.geom3 import _eliminate, solve3_pivoted  # noqa: E402
+from tdoaloc.measurement import EPS_SEP, _frame  # noqa: E402
+from tdoaloc.solver5 import EPS_DELTA, PAIRING_FALLBACKS, _build  # noqa: E402
 
 THRESHOLDS = (1e-6, 1e-3)
 
@@ -192,67 +181,13 @@ def test_reference_frame_squares_sum_as_einsum(data):
         st.floats(-9.999, 9.999), st.integers(-spread, spread),
     )
     rows = data.draw(st.lists(coordinate, min_size=3 * n, max_size=3 * n))
-    sensors = _checked(SensorArray, "positions", np.reshape(rows, (n, 3)))
-    rel = reference_frame(sensors)
+    positions = np.reshape(rows, (n, 3))
+    rel, _, sq, _ = _frame(positions.tolist())
     with np.errstate(over="ignore", invalid="ignore"):
-        offsets = sensors.positions - sensors.positions[0]
+        offsets = positions - positions[0]
         expected = np.einsum("ij,ij->i", offsets, offsets)
-    assert _bits(rel.rel_positions) == _bits(offsets), rows
-    assert _bits(rel.sq) == _bits(expected), rows
-
-
-def _outcome(solve):
-    """Everything a solve returns, bit-exact, or its error's type and message."""
-    try:
-        result = solve()
-    except Exception as err:
-        return type(err), str(err)
-    return (
-        _bits(result.position), result.method, result.ambiguous,
-        result.ambiguity_resolved_by, repr(result.diagnostics),
-        [(_bits(c.reference_range), _bits(c.position), _bits(c.residual))
-         for c in result.candidates],
-    )
-
-
-def _four_by_stages(sensors, deltas):
-    rel = reference_frame(sensors)
-    system = build_four_sensor_system(rel, deltas)
-    roots = solve_reference_range(system)
-    result = resolve_ambiguity(candidate_positions(system, roots, rel.origin), rel, deltas)
-    result.diagnostics.update(
-        pivots=system.pivots,
-        pivot_ratio=min(system.pivots) / max(system.pivots),
-        quadratic=(roots.a, roots.b_half, roots.c_coef),
-        discriminant=roots.discriminant,
-        linear_fallback=roots.linear_fallback,
-    )
-    return result
-
-
-def _five_by_stages(sensors, deltas):
-    """The first pairing set ``build_five_sensor_system`` picks, solved; a
-    singular system there leaves the retries to the solver."""
-    rel = reference_frame(sensors)
-    system = build_five_sensor_system(rel, deltas)
-    x, pivots = solve3_pivoted(system.matrix, system.rhs)
-    with np.errstate(over="ignore", invalid="ignore"):
-        position = x + rel.origin
-    if not np.isfinite(position).all():
-        raise NoRealSolutionError("range differences too large for the array: no finite position")
-    return LocalizationResult(
-        position=position,
-        method=Method.FIVE_SENSOR,
-        candidates=(),
-        ambiguity_resolved_by=AmbiguityResolution.NOT_APPLICABLE,
-        diagnostics={
-            "pivots": pivots,
-            "pivot_ratio": min(pivots) / max(pivots),
-            "pairings": system.pairings,
-            "scaled_rows": system.scaled_rows,
-            "pairing_retries": PAIRING_FALLBACKS.index(system.pairings),
-        },
-    )
+    assert _bits(rel) == _bits(offsets), rows
+    assert _bits(sq) == _bits(expected), rows
 
 
 @st.composite
@@ -285,27 +220,38 @@ def _solver_inputs(draw, n):
     return sensors, deltas
 
 
+def _first_singular_pairings(sensors, deltas):
+    """The first pairing set the five-sensor solver builds, if its system
+    fails the rank test; None otherwise."""
+    rel, _, sq, baseline = _frame(sensors.positions.tolist())
+    d = deltas.tolist()
+    for pairings in PAIRING_FALLBACKS:
+        built = _build(rel, sq, d, EPS_DELTA * baseline, pairings, "auto")
+        if built is not None:
+            try:
+                _eliminate(built[0])
+            except SingularMatrixError:
+                return pairings
+            return None
+    return None
+
+
 @pytest.mark.parametrize("n_sensors", [4, 5])
 @given(data=st.data())
-def test_solvers_equal_their_stage_functions(n_sensors, data):
+def test_solves_give_finite_results_or_typed_errors(n_sensors, data):
     sensors, deltas = data.draw(_solver_inputs(n_sensors))
-    if n_sensors == 4:
-        solved = _outcome(lambda: solve_four_sensor(sensors, deltas))
-        assert solved == _outcome(lambda: _four_by_stages(sensors, deltas)), deltas
-        return
-    solved = _outcome(lambda: solve_five_sensor(sensors, deltas))
-    staged = _outcome(lambda: _five_by_stages(sensors, deltas))
-    if staged[0] is not SingularMatrixError:
-        assert solved == staged, deltas
-        return
-    # The solver goes on to the next pairing sets: it may fail there too,
-    # but it does not return the singular set's result.
-    first = build_five_sensor_system(reference_frame(sensors), deltas).pairings
     try:
-        result = solve_five_sensor(sensors, deltas)
+        result = localize(sensors, deltas)
     except LocalizationError:
         return
-    assert result.diagnostics["pairing_retries"] > PAIRING_FALLBACKS.index(first), staged
+    assert np.isfinite(result.position).all(), deltas
+    for c in result.candidates:
+        assert np.isfinite([c.reference_range, *c.position, c.residual]).all(), deltas
+    if n_sensors == 5:
+        # A singular first pairing set is passed over, not returned.
+        first = _first_singular_pairings(sensors, deltas)
+        if first is not None:
+            assert result.diagnostics["pairing_retries"] > PAIRING_FALLBACKS.index(first)
 
 
 # JSON numbers a document may hold (_FINE): floats, ints (exact as floats or

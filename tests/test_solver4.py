@@ -13,15 +13,13 @@ from tdoaloc import (
     Scenario,
     SensorArray,
     SingularMatrixError,
-    build_four_sensor_system,
-    candidate_positions,
+    localize,
     range_differences,
-    reference_frame,
-    resolve_ambiguity,
     solve_four_sensor,
-    solve_reference_range,
 )
-from tdoaloc.solver4 import FourSensorSystem, _retain
+from tdoaloc.geom3 import _eliminate
+from tdoaloc.measurement import _frame
+from tdoaloc.solver4 import _candidates, _line_rows, _quadratic, _resolve, _retain
 
 CANONICAL_SENSORS = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
 CANONICAL_SOURCE = np.array([2.0, 3.0, 4.0])
@@ -60,6 +58,16 @@ def _canonical():
     return arr, range_differences(sc)
 
 
+def _line(sensors, deltas):
+    """The four-sensor system as the solver builds it: its augmented rows
+    ``[matrix | range vector | constant vector]`` as an array, the candidate
+    line's slope and offset, and the frame's origin and longest baseline."""
+    rel, origin, sq, baseline = _frame(sensors.positions.tolist())
+    rows = _line_rows(rel, sq, deltas.deltas.tolist())
+    (slope, offset), _ = _eliminate(rows)
+    return np.array(rows), slope, offset, origin, baseline
+
+
 def _random_scenario(rng, scale=1.0):
     while True:
         pos = rng.random((4, 3)) - 0.5
@@ -72,32 +80,28 @@ def _random_scenario(rng, scale=1.0):
 
 def test_canonical_system_diagonal():
     arr, d = _canonical()
-    system = build_four_sensor_system(reference_frame(arr), d)
-    np.testing.assert_array_equal(system.matrix, -2.0 * np.eye(3))
-    np.testing.assert_allclose(system.slope, -d.deltas, rtol=1e-15)
-    np.testing.assert_allclose(
-        system.offset, -(1.0 - d.deltas**2) / 2.0, rtol=1e-15
-    )
-    np.testing.assert_allclose(system.slope, CANONICAL_SLOPE, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(system.offset, CANONICAL_OFFSET, rtol=0, atol=1e-15)
+    system, slope, offset, _, _ = _line(arr, d)
+    np.testing.assert_array_equal(system[:, :3], -2.0 * np.eye(3))
+    np.testing.assert_allclose(slope, -d.deltas, rtol=1e-15)
+    np.testing.assert_allclose(offset, -(1.0 - d.deltas**2) / 2.0, rtol=1e-15)
+    np.testing.assert_allclose(slope, CANONICAL_SLOPE, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(offset, CANONICAL_OFFSET, rtol=0, atol=1e-15)
 
 
 def test_system_solves_consistent():
     rng = np.random.default_rng(41)
     for _ in range(500):
         sc = _random_scenario(rng)
-        rel = reference_frame(sc.sensors)
         try:
-            system = build_four_sensor_system(rel, range_differences(sc))
+            system, slope, offset, _, _ = _line(sc.sensors, range_differences(sc))
         except SingularMatrixError:
             continue
-        lhs_slope = system.matrix @ system.slope
-        lhs_offset = system.matrix @ system.offset
-        assert np.linalg.norm(lhs_slope - system.range_vector) <= 1e-10 * max(
-            1.0, np.linalg.norm(system.range_vector)
+        matrix, range_vector, const_vector = system[:, :3], system[:, 3], system[:, 4]
+        assert np.linalg.norm(matrix @ slope - range_vector) <= 1e-10 * max(
+            1.0, np.linalg.norm(range_vector)
         )
-        assert np.linalg.norm(lhs_offset - system.const_vector) <= 1e-10 * max(
-            1.0, np.linalg.norm(system.const_vector)
+        assert np.linalg.norm(matrix @ offset - const_vector) <= 1e-10 * max(
+            1.0, np.linalg.norm(const_vector)
         )
 
 
@@ -105,33 +109,34 @@ def test_coplanar_rank2_singular():
     arr = SensorArray([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
     d = range_differences(Scenario(sensors=arr, source=(0.3, 0.4, 0.7)))
     with pytest.raises(SingularMatrixError):
-        build_four_sensor_system(reference_frame(arr), d)
+        solve_four_sensor(arr, d)
 
 
 def test_canonical_reference_range_root():
     arr, d = _canonical()
-    system = build_four_sensor_system(reference_frame(arr), d)
-    roots = solve_reference_range(system)
-    assert not roots.linear_fallback
-    assert len(roots.roots) == 1  # the second root is negative and discarded
-    assert roots.roots[0] == pytest.approx(SQRT29, rel=1e-12)
+    result = solve_four_sensor(arr, d)
+    assert not result.diagnostics["linear_fallback"]
+    # The second root is negative and discarded.
+    (rho,) = (c.reference_range for c in result.candidates)
+    assert rho == pytest.approx(SQRT29, rel=1e-12)
     # agrees with the independent polynomial oracle
-    poly = np.roots([roots.a, -2.0 * roots.b_half, roots.c_coef])
-    assert max(poly) == pytest.approx(roots.roots[0], rel=1e-9)
+    a, b_half, c_coef = result.diagnostics["quadratic"]
+    poly = np.roots([a, -2.0 * b_half, c_coef])
+    assert max(poly) == pytest.approx(rho, rel=1e-9)
 
 
 def test_zero_const_vector_gives_zero_root():
     # Synthetic deltas equal to the baselines make the constant vector zero,
     # collapsing the quadratic to a double root at zero range.
     arr, _ = _canonical()
-    rel = reference_frame(arr)
-    system = build_four_sensor_system(rel, RangeDifferences(np.array([1.0, 1.0, 1.0])))
-    np.testing.assert_array_equal(system.const_vector, np.zeros(3))
-    roots = solve_reference_range(system)
-    assert roots.c_coef == 0.0
-    assert roots.roots == (0.0,)
-    cands = candidate_positions(system, roots, rel.origin)
-    np.testing.assert_allclose(cands[0][1], -system.offset, atol=1e-15)
+    d = RangeDifferences(np.array([1.0, 1.0, 1.0]))
+    system, _, offset, _, _ = _line(arr, d)
+    np.testing.assert_array_equal(system[:, 4], np.zeros(3))
+    result = solve_four_sensor(arr, d)
+    assert result.diagnostics["quadratic"][2] == 0.0
+    (cand,) = result.candidates
+    assert cand.reference_range == 0.0
+    np.testing.assert_allclose(cand.position, -np.array(offset), atol=1e-15)
 
 
 def test_canonical_solve_recovers_source():
@@ -177,16 +182,14 @@ def test_root_residual_bound():
     while checked < 500:
         sc = _random_scenario(rng)
         try:
-            system = build_four_sensor_system(
-                reference_frame(sc.sensors), range_differences(sc)
-            )
-            roots = solve_reference_range(system)
+            _, slope, offset, _, baseline = _line(sc.sensors, range_differences(sc))
+            a, b_half, c_coef, roots, _, _ = _quadratic(slope, offset, baseline)
         except SingularMatrixError:
             continue
-        for rho in roots.roots:
+        for rho in roots:
             assert rho >= 0.0
-            resid = roots.a * rho * rho - 2.0 * roots.b_half * rho + roots.c_coef
-            bound = 1e-8 * max(abs(roots.a) * rho * rho, roots.c_coef)
+            resid = a * rho * rho - 2.0 * b_half * rho + c_coef
+            bound = 1e-8 * max(abs(a) * rho * rho, c_coef)
             assert abs(resid) < bound
         checked += 1
 
@@ -196,14 +199,13 @@ def test_candidate_range_consistency():
     checked = 0
     while checked < 500:
         sc = _random_scenario(rng)
-        rel = reference_frame(sc.sensors)
         try:
-            system = build_four_sensor_system(rel, range_differences(sc))
-            roots = solve_reference_range(system)
+            _, slope, offset, origin, baseline = _line(sc.sensors, range_differences(sc))
+            roots = _quadratic(slope, offset, baseline)[3]
         except SingularMatrixError:
             continue
-        for rho, pos in candidate_positions(system, roots, rel.origin):
-            assert abs(np.linalg.norm(pos - rel.origin) - rho) <= 1e-8 * max(rho, 1e-12)
+        for rho, pos, _ in _candidates(slope, offset, origin, roots):
+            assert abs(np.linalg.norm(pos - origin) - rho) <= 1e-8 * max(rho, 1e-12)
         checked += 1
 
 
@@ -263,18 +265,24 @@ def test_rigid_motion_equivariance():
         assert best < 1e-9 * max(1.0, np.linalg.norm(expected))
 
 
+def _score(candidates, sensors, deltas):
+    """``_resolve`` on ``(rho, position)`` candidates, as the solver scores
+    the candidates of its quadratic."""
+    rel, origin, _, baseline = _frame(sensors.positions.tolist())
+    candidates = [(rho, pos, pos.tolist()) for rho, pos in candidates]
+    return _resolve(candidates, rel, origin, deltas.deltas.tolist(), baseline, {})
+
+
 def test_residual_tie_keeps_first_and_flags():
     # Four coplanar sensors score two mirror-image candidates identically.
-    rel = reference_frame(
-        SensorArray([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
-    )
+    arr = SensorArray([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
     truth = np.array([0.3, 0.4, 0.7])
     mirror = np.array([0.3, 0.4, -0.7])
     rho = float(np.linalg.norm(truth))
-    diff = rel.rel_positions - truth
+    diff = arr.positions - truth
     ranges = np.sqrt(np.sum(diff * diff, axis=1))
     d = RangeDifferences(ranges[1:] - ranges[0])
-    result = resolve_ambiguity([(rho, truth), (rho, mirror)], rel, d)
+    result = _score([(rho, truth), (rho, mirror)], arr, d)
     assert result.ambiguous
     assert result.ambiguity_resolved_by is AmbiguityResolution.RESIDUAL
     np.testing.assert_array_equal(result.position, truth)
@@ -286,10 +294,9 @@ def test_inadmissible_second_candidate_not_flagged():
     # sensor with delta ~ -0.69: it solves no unsquared equation, so two
     # candidates do not make the result ambiguous.
     arr, d = _canonical()
-    rel = reference_frame(arr)
     bad = np.array([0.1, 0.0, 0.0])
     assert 0.1 + float(np.min(d.deltas)) < 0.0
-    result = resolve_ambiguity([(0.1, bad), (SQRT29, CANONICAL_SOURCE)], rel, d)
+    result = _score([(0.1, bad), (SQRT29, CANONICAL_SOURCE)], arr, d)
     assert not result.ambiguous
     assert result.ambiguity_resolved_by is AmbiguityResolution.RESIDUAL
     assert len(result.candidates) == 2
@@ -299,7 +306,7 @@ def test_inadmissible_second_candidate_not_flagged():
 def test_resolve_no_candidates():
     arr, d = _canonical()
     with pytest.raises(NoCandidatesError):
-        resolve_ambiguity([], reference_frame(arr), d)
+        _score([], arr, d)
 
 
 def test_inconsistent_deltas_no_real_solution():
@@ -309,24 +316,14 @@ def test_inconsistent_deltas_no_real_solution():
 
 
 def test_degenerate_linear():
-    system = FourSensorSystem(
-        matrix=np.eye(3), range_vector=np.zeros(3), const_vector=np.zeros(3),
-        slope=np.array([1.0, 0.0, 0.0]), offset=np.array([0.0, 1.0, 0.0]),
-        baseline=1.0, pivots=(1.0, 1.0, 1.0),
-    )
     with pytest.raises(DegenerateLinearError):
-        solve_reference_range(system)
+        _quadratic([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], 1.0)
 
 
 def test_linear_fallback_root():
-    system = FourSensorSystem(
-        matrix=np.eye(3), range_vector=np.zeros(3), const_vector=np.zeros(3),
-        slope=np.array([1.0, 0.0, 0.0]), offset=np.array([0.3, 0.0, 0.0]),
-        baseline=1.0, pivots=(1.0, 1.0, 1.0),
-    )
-    roots = solve_reference_range(system)
-    assert roots.linear_fallback
-    assert roots.roots == (0.15,)
+    *_, roots, _, linear = _quadratic([1.0, 0.0, 0.0], [0.3, 0.0, 0.0], 1.0)
+    assert linear
+    assert roots == (0.15,)
 
 
 def test_retain_clamps_and_discards():
@@ -345,3 +342,15 @@ def test_bisector_plane_delta_zero_four_sensor():
     result = solve_four_sensor(arr, d)
     best = min(np.linalg.norm(c.position - src) for c in result.candidates)
     assert best < 1e-9
+
+
+def test_arity_validation():
+    arr4 = SensorArray(CANONICAL_SENSORS)
+    arr5 = SensorArray([*CANONICAL_SENSORS, (1, 1, 1)])
+    message = "four-sensor solve needs 4 sensors and 3 range differences"
+    with pytest.raises(ValueError, match=message):
+        solve_four_sensor(arr4, np.array([0.1, 0.2, 0.3, 0.4]))
+    with pytest.raises(ValueError, match=message):
+        solve_four_sensor(arr5, np.array([0.1, 0.2, 0.3]))
+    with pytest.raises(ValueError, match=message):
+        localize(arr4, np.array([0.1, 0.2, 0.3, 0.4]))

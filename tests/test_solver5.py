@@ -10,12 +10,11 @@ from tdoaloc import (
     Scenario,
     SensorArray,
     SingularMatrixError,
-    build_five_sensor_system,
     range_differences,
-    reference_frame,
     solve_five_sensor,
 )
-from tdoaloc.solver5 import DEFAULT_PAIRINGS, PAIRING_FALLBACKS
+from tdoaloc.measurement import _frame, as_range_differences
+from tdoaloc.solver5 import DEFAULT_PAIRINGS, EPS_DELTA, PAIRING_FALLBACKS, _build
 
 CANONICAL_SENSORS = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
 CANONICAL_SOURCE = np.array([2.0, 3.0, 4.0])
@@ -27,9 +26,22 @@ def _canonical():
     return arr, range_differences(sc)
 
 
-def _literal_rows_oracle(rel, deltas, pairings):
+def _system(sensors, deltas, row_form="auto", pairings=DEFAULT_PAIRINGS):
+    """The matrix, right-hand side and cleared-row flags of one pairing set,
+    as the solver builds them; None where a pairing carries no information."""
+    rel, _, sq, baseline = _frame(sensors.positions.tolist())
+    d = as_range_differences(deltas).deltas.tolist()
+    built = _build(rel, sq, d, EPS_DELTA * baseline, pairings, row_form)
+    if built is None:
+        return None
+    rows, scaled = built
+    system = np.array(rows)
+    return system[:, :3], system[:, 3], scaled
+
+
+def _literal_rows_oracle(sensors, deltas, pairings):
     """Independent row recomputation: ratio form written out directly."""
-    r = rel.rel_positions
+    r = sensors.positions - sensors.positions[0]
     d = deltas.deltas
     rows, rhs = [], []
     for k, j in pairings:
@@ -52,13 +64,13 @@ def _random_scenario(rng, n=5, scale=1.0):
 
 def test_canonical_system_matches_literal_recomputation():
     arr, d = _canonical()
-    rel = reference_frame(arr)
-    system = build_five_sensor_system(rel, d)
-    assert system.pairings == DEFAULT_PAIRINGS
-    assert system.scaled_rows == (False, False, False)
-    rows, rhs = _literal_rows_oracle(rel, d, system.pairings)
-    np.testing.assert_allclose(system.matrix, rows, rtol=1e-14)
-    np.testing.assert_allclose(system.rhs, rhs, rtol=1e-14)
+    diagnostics = solve_five_sensor(arr, d).diagnostics
+    assert diagnostics["pairings"] == DEFAULT_PAIRINGS
+    assert diagnostics["scaled_rows"] == (False, False, False)
+    matrix, rhs, _ = _system(arr, d)
+    rows, expected_rhs = _literal_rows_oracle(arr, d, DEFAULT_PAIRINGS)
+    np.testing.assert_allclose(matrix, rows, rtol=1e-14)
+    np.testing.assert_allclose(rhs, expected_rhs, rtol=1e-14)
 
 
 def test_canonical_solve_recovers_source():
@@ -82,17 +94,16 @@ def test_row_form_equivalence():
         d = range_differences(sc)
         if np.min(np.abs(d.deltas)) < 1e-6:
             continue  # literal form needs clearly nonzero denominators
-        rel = reference_frame(sc.sensors)
-        lit = build_five_sensor_system(rel, d, row_form="literal")
-        clr = build_five_sensor_system(rel, d, row_form="cleared")
-        assert lit.scaled_rows == (False, False, False)
-        assert clr.scaled_rows == (True, True, True)
+        lit_matrix, lit_rhs, lit_scaled = _system(sc.sensors, d, "literal")
+        clr_matrix, clr_rhs, clr_scaled = _system(sc.sensors, d, "cleared")
+        assert lit_scaled == (False, False, False)
+        assert clr_scaled == (True, True, True)
         try:
-            x_lit = np.linalg.solve(lit.matrix, lit.rhs)
-            x_clr = np.linalg.solve(clr.matrix, clr.rhs)
+            x_lit = np.linalg.solve(lit_matrix, lit_rhs)
+            x_clr = np.linalg.solve(clr_matrix, clr_rhs)
         except np.linalg.LinAlgError:
             continue
-        if max(np.linalg.cond(lit.matrix), np.linalg.cond(clr.matrix)) > 1e8:
+        if max(np.linalg.cond(lit_matrix), np.linalg.cond(clr_matrix)) > 1e8:
             continue
         assert np.linalg.norm(x_lit - x_clr) < 1e-9 * np.linalg.norm(x_lit)
         checked += 1
@@ -104,11 +115,12 @@ def test_zero_delta_row_uses_cleared_form():
     src = np.array([0.0, 0.7, -0.4])
     d = range_differences(Scenario(sensors=arr, source=src))
     assert d.deltas[0] == 0.0
-    rel = reference_frame(arr)
-    system = build_five_sensor_system(rel, d)
-    assert system.scaled_rows[0] is True  # pairing (2, 1) divides by the zero delta
-    assert np.all(np.isfinite(system.matrix)) and np.all(np.isfinite(system.rhs))
+    matrix, rhs, scaled = _system(arr, d)
+    assert scaled[0] is True  # pairing (2, 1) divides by the zero delta
+    assert np.all(np.isfinite(matrix)) and np.all(np.isfinite(rhs))
     result = solve_five_sensor(arr, d)
+    assert result.diagnostics["pairings"] == DEFAULT_PAIRINGS
+    assert result.diagnostics["scaled_rows"] == scaled
     assert np.linalg.norm(result.position - src) < 1e-9 * np.linalg.norm(src)
 
 
@@ -116,10 +128,10 @@ def test_zero_delta_row_uses_cleared_form():
 def test_literal_rows_reject_a_zero_divisor(deltas):
     # The literal form divides by the pairing's second range difference;
     # forced where that is zero it is a typed error, not ZeroDivisionError.
-    rel = reference_frame(SensorArray(CANONICAL_SENSORS))
+    arr = SensorArray(CANONICAL_SENSORS)
     with pytest.raises(DegenerateDeltasError, match="divides by a zero range difference"):
-        build_five_sensor_system(rel, deltas, row_form="literal")
-    assert build_five_sensor_system(rel, deltas, row_form="cleared").scaled_rows == (True,) * 3
+        _system(arr, deltas, "literal")
+    assert _system(arr, deltas, "cleared")[2] == (True,) * 3
 
 
 def test_pairing_fallback_on_double_zero_deltas():
@@ -162,8 +174,8 @@ def test_all_zero_deltas_degenerate():
     np.testing.assert_array_equal(d.deltas, np.zeros(4))
     with pytest.raises(DegenerateDeltasError):
         solve_five_sensor(arr, d)
-    with pytest.raises(DegenerateDeltasError):
-        build_five_sensor_system(reference_frame(arr), d)
+    # Every pairing set has a pairing with two vanishing range differences.
+    assert all(_system(arr, d, pairings=pairings) is None for pairings in PAIRING_FALLBACKS)
 
 
 def test_collinear_sensors_singular():
