@@ -8,8 +8,9 @@ Three situations worth knowing about before trusting any TDOA fix:
   2. Collinear sensors cannot span 3D; the solvers refuse with a singular-
      matrix error rather than returning a garbage position.
   3. With only four sensors, some measurement sets are satisfied exactly by
-     TWO source positions; the solver reports both candidates so a caller
-     with prior knowledge (approach direction, coverage region) can pick.
+     TWO source positions; the solver flags the result, keeps the candidate
+     nearer the reference sensor and reports both, so a caller with prior
+     knowledge (approach direction, coverage region) can pick.
 """
 
 import numpy as np
@@ -51,14 +52,16 @@ print("truth:", truth)
 for i, cand in enumerate(result4.candidates):
     picked = "  <-- selected" if np.array_equal(cand.position, result4.position) else ""
     print(
-        f"candidate {i}: position={np.round(cand.position, 6)} "
-        f"residual={cand.residual:.2e}{picked}"
+        f"candidate {i}: range={cand.reference_range:.6f} "
+        f"position={np.round(cand.position, 6)} residual={cand.residual:.2e}{picked}"
     )
 print("flagged ambiguous:", result4.ambiguous)
 print(
-    "both candidates reproduce the measured deltas to machine precision;\n"
-    "without priors the residual rule cannot tell them apart. A fifth sensor\n"
-    "removes the ambiguity:"
+    "both candidates reproduce the measured deltas to machine precision, so\n"
+    "no rule based on the measurements can tell them apart. The solver keeps\n"
+    "the one with the smaller reference range, the same pick under rotation,\n"
+    "translation or a change of units; here the source is the other one.\n"
+    "A fifth sensor removes the ambiguity:"
 )
 extra = np.vstack([sensors4.positions, [0.35, -0.41, -0.22]])
 sensors5 = tl.SensorArray(extra)

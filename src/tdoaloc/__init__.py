@@ -1,9 +1,10 @@
 """Exact closed-form TDOA source localization for 4- and 5-sensor 3D arrays.
 
 Five sensors give a purely linear solve with no sign ambiguity; four sensors
-give a linear solve plus one quadratic whose two-root ambiguity is resolved
-by range-difference residual minimization. A Monte Carlo harness measures
-noise-free success fractions over randomized geometries.
+give a linear solve plus one quadratic whose two roots are told apart by
+range-difference residual, or, when both solve the measurements exactly, by
+keeping the smaller range. A Monte Carlo harness measures noise-free success
+fractions over randomized geometries.
 """
 
 from .errors import (

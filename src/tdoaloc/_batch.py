@@ -11,10 +11,13 @@ the scalar order of operations; the reductions follow the scalar code:
 - squared distances (sensor pairs, source gaps, candidate ranges) are the
   column sums ``(x + y) + z`` of the scalar Python sums;
 - squared baselines are the column sums ``(x * x + z * z) + y * y`` of
-  ``measurement._frame``, the order in which ``np.einsum("ij,ij->i")`` sums a
+  ``measurement._frame``, the order in which numpy's ``einsum`` ``"ij,ij->i"`` sums a
   3-vector (``(x + y) + z`` differs from it on about a quarter of random rows);
-- every 1-D ``@`` and ``np.linalg.norm`` (the quadratic's coefficients,
-  residuals, relative errors) stays :func:`_row_dot` on ``(N, 3)`` rows.
+- every dot product (the quadratic's coefficients, residuals, norms) is the
+  column sum ``(x0 * y0 + x1 * y1) + x2 * y2`` of ``measurement._dot``.
+
+Two admissible candidates (``ambiguous``) keep the smaller-range one, as in
+``solver4._resolve``; otherwise the smaller residual decides.
 
 A row is generic when the scalar path would take no branch but the plain
 one: the first draw is valid, every elimination pivot passes the rank test,
@@ -41,19 +44,9 @@ _SENSOR_PAIRS = {n: np.triu_indices(n, k=1) for n in (4, 5)}
 _PAIR_K, _PAIR_J = np.array(DEFAULT_PAIRINGS).T
 
 
-def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise dot product of two ``(N, k)`` arrays.
-
-    A stacked matmul of ``(1, k)`` by ``(k, 1)`` goes through the same dot
-    kernel as the 1-D ``x @ y``, so each row rounds as the scalar code does;
-    ``einsum`` and ``sum(x * y)`` accumulate in other orders.
-    """
-    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
-
-
 def _col_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """:func:`_row_dot` of ``(k, N)`` columns, on contiguous ``(N, k)`` rows."""
-    return _row_dot(np.ascontiguousarray(x.T), np.ascontiguousarray(y.T))
+    """``(x0 * y0 + x1 * y1) + x2 * y2`` of ``(3, N)`` columns, per row."""
+    return (x[0] * y[0] + x[1] * y[1]) + x[2] * y[2]
 
 
 def _sq_norm3(diff: np.ndarray) -> np.ndarray:
@@ -139,12 +132,13 @@ def _four_sensor(rel, sq, origin, d, source, truth_norm):
     pos = np.stack((first, roots.max(axis=0)))[:, None] * slope - offset + origin
 
     ranges = np.sqrt(_sq_norm3(rel - (pos - origin)[:, None]))
-    mismatch = ((ranges[:, 1:] - ranges[:, :1]) - d).transpose(0, 2, 1).reshape(-1, 3)
-    r0, r1 = _row_dot(mismatch, mismatch).reshape(2, -1)
+    r0, r1 = _sq_norm3((ranges[:, 1:] - ranges[:, :1]) - d)
     generic &= np.isfinite(r0) & np.isfinite(r1)
-    # The first minimum wins, and so does the first candidate on a tie.
+    # Two admissible candidates keep the first (smaller range); otherwise the
+    # first minimum wins, and so does the first candidate on a tie.
+    ambiguous = two & (first + d.min(axis=0) >= -eps_rho)
     tie = np.abs(r0 - r1) <= EPS_TIE * np.maximum(np.abs(r0), np.abs(r1))
-    pick_second = two & (r1 < r0) & ~tie
+    pick_second = two & (r1 < r0) & ~tie & ~ambiguous
     position = np.where(pick_second, pos[1], pos[0])
     other = np.where(pick_second, pos[0], pos[1])
     has_other = two & (other != position).any(axis=0)

@@ -38,6 +38,11 @@ def _squared_distances(rows, point) -> list[float]:
             for x, y, z in rows]
 
 
+def _dot(x, y) -> float:
+    """``(x0 * y0 + x1 * y1) + x2 * y2`` on Python floats, as ``_batch`` sums columns."""
+    return (x[0] * y[0] + x[1] * y[1]) + x[2] * y[2]
+
+
 def _check_array(rows) -> None:
     if len(rows) not in (4, 5):
         raise ValueError(f"need exactly 4 or 5 sensors, got {len(rows)}")
@@ -111,6 +116,13 @@ class RangeDifferences:
         return self.deltas.shape[0] + 1
 
 
+def as_sensor_array(sensors) -> SensorArray:
+    """Coerce an array-like of sensor rows into :class:`SensorArray`."""
+    if isinstance(sensors, SensorArray):
+        return sensors
+    return SensorArray(sensors)
+
+
 def as_range_differences(deltas) -> RangeDifferences:
     """Coerce an array-like into :class:`RangeDifferences`."""
     if isinstance(deltas, RangeDifferences):
@@ -148,7 +160,7 @@ def _frame(rows) -> tuple[list, list, tuple[float, ...], float]:
     longest baseline.
 
     Each squared norm is ``(x * x + z * z) + y * y``, the order in which
-    ``np.einsum("ij,ij->i")`` sums a 3-vector, so it equals that einsum bit
+    numpy's ``einsum`` ``"ij,ij->i"`` sums a 3-vector, so it equals that einsum bit
     for bit; ``_batch`` sums its columns in the same order. Row 0 is zero,
     so the largest squared norm is the longest baseline's.
     """

@@ -44,7 +44,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .locate import localize
-from .measurement import Scenario, SensorArray, range_differences
+from .measurement import Scenario, SensorArray, _dot, range_differences
 from .result import LocalizationResult
 
 DEFAULT_THRESHOLDS = (1e-6, 1e-3)
@@ -203,10 +203,9 @@ def run_instance(scenario: Scenario, thresholds) -> InstanceResult:
         return InstanceResult(None, str(err), None, (False,) * n, (cause,) * n)
 
     truth = scenario.source
-    truth_norm = float(np.linalg.norm(truth))
-    rel_error = _rel_error(estimate.position, truth, truth_norm)
+    rel_error = _rel_error(estimate.position, truth)
     losing = min(
-        (_rel_error(cand.position, truth, truth_norm) for cand in estimate.candidates
+        (_rel_error(cand.position, truth) for cand in estimate.candidates
          if not np.array_equal(cand.position, estimate.position)),
         default=math.inf,
     )
@@ -214,8 +213,11 @@ def run_instance(scenario: Scenario, thresholds) -> InstanceResult:
     return InstanceResult(estimate, None, rel_error, tuple(c is None for c in causes), causes)
 
 
-def _rel_error(position: np.ndarray, truth: np.ndarray, truth_norm: float) -> float:
-    err = float(np.linalg.norm(position - truth))
+def _rel_error(position: np.ndarray, truth: np.ndarray) -> float:
+    """``|position - truth| / |truth|`` on Python floats, with ``_batch``'s plain-sum dots."""
+    truth = truth.tolist()
+    err = [p - t for p, t in zip(position.tolist(), truth)]
+    err, truth_norm = math.sqrt(_dot(err, err)), math.sqrt(_dot(truth, truth))
     if truth_norm > 0.0:
         return err / truth_norm
     return 0.0 if err == 0.0 else math.inf

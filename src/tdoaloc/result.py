@@ -14,7 +14,7 @@ class Method(Enum):
 
 
 class AmbiguityResolution(Enum):
-    RESIDUAL = "residual"          # two candidates scored, minimizer chosen
+    RESIDUAL = "residual"  # two candidates: smaller range if ambiguous, else least residual
     SINGLE_ROOT = "single_root"    # only one nonnegative root, one candidate
     NOT_APPLICABLE = "not_applicable"  # five-sensor solve, no ambiguity arises
 
@@ -36,9 +36,9 @@ class LocalizationResult:
     produce two) so callers with prior knowledge can re-select; ``ambiguous``
     is set exactly when two candidates are admissible, i.e. both solve the
     unsquared range-difference equations, so the measurements are met exactly
-    by two positions and ``position`` is one of them chosen without a prior.
-    Only four-sensor solves fill ``candidates``; there ``position`` is the
-    chosen candidate's ``position`` array itself, not a copy.
+    by two positions and ``position`` is the one with the smaller reference
+    range. Only four-sensor solves fill ``candidates``; there ``position`` is
+    the chosen candidate's array itself. Every position array is read-only.
     """
 
     position: np.ndarray  # absolute, m

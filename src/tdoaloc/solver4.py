@@ -4,23 +4,23 @@ With only three range differences the source position is pinned to a line
 parameterized by the unknown source-to-reference range: solving the 3x3
 system for the three measurements gives ``position = range * slope - offset``.
 Requiring the position to be consistent with that same range yields a
-quadratic whose (up to two) nonnegative roots are candidate solutions; the
-remaining sign ambiguity is resolved by re-predicting the range differences
-for each candidate and keeping the one with the smaller squared mismatch.
-When both candidates satisfy the unsquared equations, the measurements are
-met exactly by two positions and the result is flagged ``ambiguous``.
+quadratic whose (up to two) nonnegative roots are candidate solutions. When
+both candidates satisfy the unsquared equations, the measurements are met
+exactly by two positions: the result is flagged ``ambiguous`` and the
+smaller-range candidate is kept. Otherwise the candidate whose re-predicted
+range differences have the smaller squared mismatch is kept.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 
 import numpy as np
 
 from .errors import DegenerateLinearError, NoCandidatesError, NoRealSolutionError
 from .geom3 import _eliminate
-from .measurement import SensorArray, _frame, _squared_distances, as_range_differences
+from .measurement import (SensorArray, _dot, _frame, _readonly, _squared_distances,
+                          as_range_differences, as_sensor_array)
 from .result import AmbiguityResolution, Candidate, LocalizationResult, Method
 
 # Tolerances separating analytic degeneracy from round-off. EPS_LIN detects a
@@ -28,19 +28,12 @@ from .result import AmbiguityResolution, Candidate, LocalizationResult, Method
 # discriminant to tangency; EPS_RHO (relative to the longest baseline) clamps
 # barely negative range roots to zero and bounds how far below zero a
 # candidate's implied sensor range may fall and still count as admissible.
-# EPS_TIE only breaks the selection tie between two residuals (first root
-# kept); it plays no part in the ``ambiguous`` flag.
+# EPS_TIE breaks a tie between the residuals of two candidates (first root
+# kept); an ``ambiguous`` pair keeps the first root whatever its residuals.
 EPS_LIN = 1e-12
 EPS_DISC = 1e-9
 EPS_RHO_REL = 1e-12
 EPS_TIE = 1e-9
-
-# Below this sum of the magnitudes of the slope and offset entries, no dot of
-# them (nor any partial sum) passes 1e300, so none overflows; a NaN or an inf
-# entry fails the test. There the dots skip np.errstate, which costs about a
-# microsecond to enter and leave.
-_DOT_SAFE = 1e150
-_NO_OVERFLOW = contextlib.nullcontext()
 
 
 def _line_rows(rel, sq, d) -> list[list[float]]:
@@ -79,18 +72,10 @@ def _quadratic(slope, offset, baseline: float) -> tuple:
         DegenerateLinearError: leading coefficient vanishes and no unique
             linear root exists.
     """
-    xi = np.array(slope)
-    eta = np.array(offset)
-    # The dots stay numpy's (BLAS ddot, as the batch path's): on an FMA CPU
-    # OpenBLAS rounds them as fma(x2, y2, fma(x1, y1, x0 * y0)), which Python
-    # floats cannot reproduce.
-    # Where a dot may overflow or meet inf * 0, numpy's warnings are silenced:
-    # non-finite coefficients give no root that is kept below.
-    with (_NO_OVERFLOW if sum(map(abs, slope + offset)) < _DOT_SAFE
-          else np.errstate(over="ignore", invalid="ignore")):
-        xx = float(xi.dot(xi))
-        b_half = float(xi.dot(eta))
-        c_coef = float(eta.dot(eta))
+    # Python floats overflow to inf, and inf * 0 is NaN, silently; no such root is kept.
+    xx = _dot(slope, slope)
+    b_half = _dot(slope, offset)
+    c_coef = _dot(offset, offset)
     a = xx - 1.0
     disc = b_half * b_half - a * c_coef
     eps_rho = EPS_RHO_REL * baseline
@@ -126,18 +111,18 @@ def _quadratic(slope, offset, baseline: float) -> tuple:
 def _candidates(slope, offset, origin, roots) -> list[tuple[float, np.ndarray, list]]:
     """The absolute candidate position of each retained range root on the
     line ``rho * slope - offset``: ``(rho, position, floats)``, the position
-    as an array and as a list of floats."""
+    as a read-only array and as a list of floats."""
     line = list(zip(slope, offset, origin))
     candidates = []
     for rho in roots:
         pos = [rho * s - o + g for s, o, g in line]
-        candidates.append((rho, np.array(pos), pos))
+        candidates.append((rho, _readonly(np.array(pos)), pos))
     return candidates
 
 
 def _resolve(candidates, rel, origin, d, baseline: float, diagnostics: dict) -> LocalizationResult:
     """Score candidates, as :func:`_candidates` gives them, by their
-    re-predicted range-difference mismatch and keep the best, as
+    re-predicted range-difference mismatch and pick one, as
     :func:`solve_four_sensor` describes; the result keeps their arrays and
     the ``diagnostics`` dict.
 
@@ -153,10 +138,8 @@ def _resolve(candidates, rel, origin, d, baseline: float, diagnostics: dict) -> 
         rel_pos = [p - g for p, g in zip(floats, origin)]
         ranges = list(map(math.sqrt, _squared_distances(rel, rel_pos)))
         r0 = ranges[0]
-        # The residual stays a numpy dot, which rounds unlike a Python sum.
-        mismatch = np.array([(r - r0) - v for r, v in zip(ranges[1:], d)])
-        residual = float(mismatch.dot(mismatch))
-        scored.append(Candidate(float(rho), pos, residual))
+        mismatch = [(r - r0) - v for r, v in zip(ranges[1:], d)]
+        scored.append(Candidate(float(rho), pos, _dot(mismatch, mismatch)))
 
     best = min(range(len(scored)), key=lambda i: scored[i].residual)
     ambiguous = False
@@ -165,12 +148,12 @@ def _resolve(candidates, rel, origin, d, baseline: float, diagnostics: dict) -> 
     else:
         resolved = AmbiguityResolution.RESIDUAL
         r0, r1 = scored[0].residual, scored[1].residual
-        if abs(r0 - r1) <= EPS_TIE * max(abs(r0), abs(r1)):
-            best = 0
         # Smallest rho + d_i over both candidates, against the admissibility
-        # slack below zero.
-        margin = min(c.reference_range for c in scored) + min(d)
-        ambiguous = margin >= -EPS_RHO_REL * baseline
+        # slack below zero. Two exact solutions, or a residual tie, keep the
+        # first (smaller-range) candidate.
+        ambiguous = min(c.reference_range for c in scored) + min(d) >= -EPS_RHO_REL * baseline
+        if ambiguous or abs(r0 - r1) <= EPS_TIE * max(abs(r0), abs(r1)):
+            best = 0
     return LocalizationResult(scored[best].position, Method.FOUR_SENSOR, tuple(scored), resolved,
                               ambiguous, diagnostics)
 
@@ -178,21 +161,23 @@ def _resolve(candidates, rel, origin, d, baseline: float, diagnostics: dict) -> 
 def solve_four_sensor(sensors: SensorArray, deltas) -> LocalizationResult:
     """Localize a source from four sensors and three range differences.
 
-    The pipeline runs on Python floats with no intermediate records: the
-    3x3 solve for the candidate line, the quadratic in the reference range,
-    and residual scoring of its candidates.
-
-    Every candidate (with its residual) is retained in the result so callers
-    holding priors can re-select. On a residual tie within ``EPS_TIE`` the
-    first (smallest-range) candidate is kept; determinism matters more than
-    an arbitrary choice there.
+    ``sensors`` is a :class:`SensorArray` or an array-like of its rows. The
+    pipeline runs on Python floats with no intermediate records: the 3x3
+    solve for the candidate line, the quadratic in the reference range, and
+    the pick among its candidates. Every dot product is the plain sum
+    ``(x0*y0 + x1*y1) + x2*y2``; none goes through BLAS.
 
     The result is flagged ``ambiguous`` exactly when two candidates are
     admissible: a candidate at reference range ``rho`` is admissible when
     ``rho + d_i >= -EPS_RHO_REL * baseline`` for every range difference
     ``d_i``, the condition under which a root of the squared equations also
     solves the unsquared ones. Two admissible candidates are then two exact
-    solutions of the measurements, which no residual can tell apart.
+    solutions of the measurements, whose residuals are both round-off, so
+    the smaller-range one is kept: a pick that rotation, translation, change
+    of units and reordering of the non-reference sensors leave as it is.
+    Otherwise the smaller residual decides (the first candidate on a tie
+    within ``EPS_TIE``). Every candidate, with its residual, is retained so
+    callers holding priors can re-select.
 
     ``diagnostics`` holds the elimination ``pivots`` and ``pivot_ratio``,
     the ``quadratic`` coefficients ``(a, b_half, c)``, its raw
@@ -200,13 +185,14 @@ def solve_four_sensor(sensors: SensorArray, deltas) -> LocalizationResult:
 
     Raises:
         ValueError: the array does not have 4 sensors, or there are not 3
-            range differences.
+            range differences, or ``sensors`` is not a valid array.
         SingularMatrixError: the three non-reference sensors do not span 3D.
         NoRealSolutionError: the quadratic has no real root (range
             differences inconsistent with the geometry).
         DegenerateLinearError: the quadratic degenerates with no unique root.
         NoCandidatesError: no nonnegative reference-range root.
     """
+    sensors = as_sensor_array(sensors)
     deltas = as_range_differences(deltas)
     if sensors.n_sensors != 4 or deltas.n_sensors != 4:
         raise ValueError("four-sensor solve needs 4 sensors and 3 range differences")

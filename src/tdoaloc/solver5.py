@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateDeltasError, NoRealSolutionError, SingularMatrixError
 from .geom3 import _eliminate
-from .measurement import SensorArray, _frame, as_range_differences
+from .measurement import SensorArray, _frame, _readonly, as_range_differences, as_sensor_array
 from .result import AmbiguityResolution, LocalizationResult, Method
 
 # Relative (to the longest reference baseline) range-difference magnitude
@@ -96,7 +96,8 @@ def solve_five_sensor(sensors: SensorArray, deltas) -> LocalizationResult:
 
     Returns a single estimate (no sign ambiguity on this path) with pivot
     diagnostics. Pairing sets are rotated if the default set is degenerate
-    or yields a singular system. Runs on Python floats.
+    or yields a singular system. Runs on Python floats. ``sensors`` is a
+    :class:`SensorArray` or an array-like of its rows.
 
     ``diagnostics`` holds the elimination ``pivots`` and ``pivot_ratio``,
     the ``pairings`` solved, which rows use the cleared form
@@ -105,13 +106,14 @@ def solve_five_sensor(sensors: SensorArray, deltas) -> LocalizationResult:
 
     Raises:
         ValueError: the array does not have 5 sensors, or there are not 4
-            range differences.
+            range differences, or ``sensors`` is not a valid array.
         SingularMatrixError: sensor geometry leaves the system rank-deficient
             under every pairing set.
         DegenerateDeltasError: no pairing set yields informative equations.
         NoRealSolutionError: the range differences are too large for any
             finite position.
     """
+    sensors = as_sensor_array(sensors)
     deltas = as_range_differences(deltas)
     if sensors.n_sensors != 5 or deltas.n_sensors != 5:
         raise ValueError("five-sensor solve needs 5 sensors and 4 range differences")
@@ -138,7 +140,7 @@ def solve_five_sensor(sensors: SensorArray, deltas) -> LocalizationResult:
             raise NoRealSolutionError(
                 "range differences too large for the array: no finite position"
             )
-        return LocalizationResult(np.array(position), Method.FIVE_SENSOR, (),
+        return LocalizationResult(_readonly(np.array(position)), Method.FIVE_SENSOR, (),
                                   AmbiguityResolution.NOT_APPLICABLE, False, {
                                       "pivots": pivots,
                                       "pivot_ratio": min(pivots) / max(pivots),

@@ -90,6 +90,36 @@ def test_diagnostics_keys_are_fixed(sensors, source, path, taken):
     assert bool(result.diagnostics[path]) is taken
 
 
+UNIT_5 = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 1.0, 1.0)]
+
+
+@pytest.mark.parametrize("solve, n", [
+    (tdoaloc.localize, 4), (tdoaloc.localize, 5),
+    (tdoaloc.solve_four_sensor, 4), (tdoaloc.solve_five_sensor, 5),
+])
+def test_sensors_given_as_a_list(solve, n):
+    # Sensor rows are coerced as range differences are: a list gives what a
+    # SensorArray gives, and a bad shape is the constructor's ValueError.
+    array = tdoaloc.SensorArray(UNIT_5[:n])
+    deltas = tdoaloc.range_differences(tdoaloc.Scenario(array, (2.0, 3.0, 4.0)))
+    result = solve(UNIT_5[:n], deltas.deltas.tolist())
+    assert result.position.tolist() == solve(array, deltas).position.tolist()
+    with pytest.raises(ValueError, match=r"must be an \(n, 3\) array"):
+        solve([row[:2] for row in UNIT_5[:n]], deltas)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_result_positions_are_read_only(n):
+    # Four sensors: two exact candidates, so the result holds two arrays
+    # besides its position (which is the chosen one's).
+    scenario = tdoaloc.sample_scenario(tdoaloc.instance_rng(42, 0, 1), n, 1.0)
+    result = tdoaloc.localize(scenario.sensors, tdoaloc.range_differences(scenario))
+    assert len(result.candidates) == (2 if n == 4 else 0)
+    for array in (result.position, *(c.position for c in result.candidates)):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
 def _demo_root_names(source: str) -> set[str]:
     """Names a demo reaches at the package root: ``tl.name`` after
     ``import tdoaloc as tl``, and ``from tdoaloc import name``."""
@@ -146,22 +176,43 @@ def test_import_loads_the_cli_module():
     assert out == "[True, False, False]"
 
 
-def _object_new_owners(path: Path) -> list[str]:
-    """``module.function`` for each ``object.__new__`` in ``path``, named by
-    its innermost enclosing function (``<module>`` at top level)."""
+def _owners(path: Path, matches) -> list[str]:
+    """``module.function`` for each AST node of ``path`` that ``matches``,
+    named by its innermost enclosing function (``<module>`` at top level)."""
     owners = []
 
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
-        elif (isinstance(node, ast.Attribute) and node.attr == "__new__"
-              and isinstance(node.value, ast.Name) and node.value.id == "object"):
+        elif matches(node):
             owners.append(f"{path.stem}.{owner}")
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
 
     visit(ast.parse(path.read_text()), "<module>")
     return owners
+
+
+def _object_new_owners(path: Path) -> list[str]:
+    """``module.function`` for each ``object.__new__`` in ``path``."""
+    return _owners(path, lambda node: (
+        isinstance(node, ast.Attribute) and node.attr == "__new__"
+        and isinstance(node.value, ast.Name) and node.value.id == "object"
+    ))
+
+
+def _is_blas_dot(node) -> bool:
+    """Whether ``node`` is a ``@``, or a call of ``.dot``, ``.matmul``,
+    ``.einsum`` or ``linalg.norm``."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        return isinstance(node.op, ast.MatMult)
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+        return False
+    func = node.func
+    return func.attr in ("dot", "matmul", "einsum") or (
+        func.attr == "norm" and isinstance(func.value, ast.Attribute)
+        and func.value.attr == "linalg"
+    )
 
 
 def test_one_builder_skips_a_constructor():
@@ -171,6 +222,15 @@ def test_one_builder_skips_a_constructor():
     package = Path(tdoaloc.__file__).parent
     owners = [o for path in sorted(package.glob("*.py")) for o in _object_new_owners(path)]
     assert owners == ["measurement._checked"]
+
+
+def test_no_dot_goes_through_blas():
+    # Every dot product is a written-out sum, (x0*y0 + x1*y1) + x2*y2, on
+    # Python floats or on columns, so no output depends on how the BLAS
+    # build rounds a dot. A matmul, einsum or norm would bring that back.
+    package = Path(tdoaloc.__file__).parent
+    owners = [o for path in sorted(package.glob("*.py")) for o in _owners(path, _is_blas_dot)]
+    assert owners == []
 
 
 def test_readme_python_blocks_run():

@@ -314,15 +314,15 @@ def test_negative_seed_is_invalid_config(capsys, command):
 # the sweep CSV bit-identical. Seed 4294967301 (2**32 + 5) spans two entropy
 # words; 1100 instances run a scale in more than one batch.
 SWEEP_DIGESTS = {
-    "4": (4, 50, 20260809, "136f1e8695aabffe5aee0cadc8d07a396d64c83dc9f0490078627caec8657d31"),
+    "4": (4, 50, 20260809, "828f4e4dba0975142d614be29ffdb89d48aee8d05356a9e68571a947d7e55c1b"),
     "5": (5, 50, 20260809, "11caf609ffaa8c069a9af13d2dc8a3803cc15af99001243864e8fbcd9f1ceed4"),
     "4-1100-two-word-seed": (
-        4, 1100, 4294967301, "ddfb4c3a0458340f0e800081e5691966504e1a771503a7fd83e929cd386c7453"
+        4, 1100, 4294967301, "4186230a27b1aaa0b3d2243626c35b3ab5555323605cbbd3f1a293bf9be97e68"
     ),
     "5-1100-two-word-seed": (
         5, 1100, 4294967301, "8a4cba3f6cc4c8e931960c13c5ddbdf7cd3868949875a53810dce75aca8f865d"
     ),
-    "4-1100": (4, 1100, 20260809, "75f268d7841477be0b3d9e8fe1a1878ab650a5db90ce2a8848e3ba7ada71c5d5"),
+    "4-1100": (4, 1100, 20260809, "ba5fe9a5513752d936e66d9ce6505fd643ceedab3a15d66aa00bc374db4da49b"),
     "5-1100": (5, 1100, 20260809, "caba314743d1f7ba05b6265de8424ae2603512513cbc0d0b79855ac58bcae19e"),
 }
 

@@ -142,9 +142,10 @@ def test_run_instance_near_collinear():
 
 
 def test_run_instance_wrong_root_classification():
-    # Frozen instance found by scanning the experiment protocol: the residual
-    # rule picks the spurious exact dual, and the losing candidate is truth.
-    rng = instance_rng(42, 0, 2)
+    # Frozen instance found by scanning the experiment protocol: two exact
+    # candidates, truth at the larger reference range, so the smaller-range
+    # pick is the spurious dual and the losing candidate is truth.
+    rng = instance_rng(42, 0, 1)
     sc = sample_scenario(rng, 4, 1.0)
     res = run_instance(sc, (1e-6, 1e-3))
     assert res.failure_causes == (FailureCause.WRONG_ROOT,) * 2
@@ -163,9 +164,9 @@ def test_run_instance_wrong_root_classification():
 
 def test_failure_cause_is_per_threshold():
     # Frozen acceptance-sweep instance: two exact candidates, the wrong one
-    # picked, and the losing candidate 1.1e-5 from truth. That is a wrong
+    # picked, and the losing candidate 2.5e-6 from truth. That is a wrong
     # root at T=1e-3 but a numerical error at T=1e-6.
-    sc = sample_scenario(instance_rng(SEED, 0, 76), 4, DEFAULT_SCALE_GRID[0])
+    sc = sample_scenario(instance_rng(SEED, 0, 87), 4, DEFAULT_SCALE_GRID[0])
     res = run_instance(sc, (1e-6, 1e-3))
     assert res.success_at == (False, False)
     assert res.estimate.ambiguous
