@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from tdoaloc import (
     range_differences,
     sample_scenario,
 )
+from tdoaloc._batch import _col_dot
+from tdoaloc.measurement import _dot
 from tdoaloc.cli import EXIT_DEGENERATE, EXIT_NO_REAL_SOLUTION, EXIT_PARSE_ERROR, main
 
 SEED = 20260809
@@ -97,6 +100,36 @@ def test_localize_golden_digest(tmp_path):
     # cleared rows.
     assert min(kinds.values()) > 0, kinds
     assert digest.hexdigest() == LOCATE_DIGEST, kinds
+
+
+# 3-vector pairs whose dot rounds differently as an FMA chain and as a plain
+# sum of products, so the test below tells the two apart.
+FMA_DOT_CASES = [
+    ([-0.705, -1.397, 0.604], [-1.71, 0.144, -0.537]),
+    ([-0.302, 1.307, -1.505], [-1.107, 0.51, 1.791]),
+    ([-1.423, -1.529, -0.766], [1.265, -1.277, 0.326]),
+    ([0.556, -0.51, 0.191], [-1.749, -1.762, -1.176]),
+]
+
+
+def _fma(a, b, c):
+    """``a * b + c`` rounded once, from the exact rational value."""
+    return float(Fraction(a) * Fraction(b) + Fraction(c))
+
+
+@pytest.mark.parametrize("x, y", FMA_DOT_CASES)
+def test_dot_rounds_as_the_golden_digests_assume(x, y):
+    # LOCATE_DIGEST and the sweep digests assume every dot is the plain sum
+    # (x0*y0 + x1*y1) + x2*y2, each operation rounded on its own, in the
+    # scalar path and on batch columns alike; an FMA chain (as BLAS ddot
+    # rounds) would give other bits on these cases.
+    fma_chain = _fma(x[2], y[2], _fma(x[1], y[1], x[0] * y[0]))
+    p0, p1, p2 = (float(Fraction(a) * Fraction(b)) for a, b in zip(x, y))
+    plain = float(Fraction(float(Fraction(p0) + Fraction(p1))) + Fraction(p2))
+    assert plain != fma_chain
+    assert _dot(x, y) == plain
+    columns = _col_dot(np.array([x, x]).T, np.array([y, y]).T)
+    assert columns.tolist() == [plain, plain]
 
 
 def test_locate_directory_parse_error(tmp_path):
