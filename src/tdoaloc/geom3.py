@@ -67,7 +67,8 @@ def _eliminate(a: list) -> tuple[list, tuple[float, float, float]]:
     sees the floating-point operations of a row-by-row elimination.
     """
     r0, r1, r2 = a
-    scale = max(map(abs, r0[:3] + r1[:3] + r2[:3]))
+    scale = max(abs(r0[0]), abs(r0[1]), abs(r0[2]), abs(r1[0]), abs(r1[1]), abs(r1[2]),
+                abs(r2[0]), abs(r2[1]), abs(r2[2]))
     if scale == 0.0:
         raise SingularMatrixError("all-zero system matrix (rank 0)")
     # At least the least subnormal, so that a zero pivot fails even where

@@ -132,12 +132,13 @@ def as_range_differences(deltas) -> RangeDifferences:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A sensor array plus the true source position (for forward modelling)."""
+    """A sensor array (or its rows) plus the true source position (for forward modelling)."""
 
     sensors: SensorArray
     source: np.ndarray  # (3,), absolute, meters
 
     def __post_init__(self):
+        object.__setattr__(self, "sensors", as_sensor_array(self.sensors))
         src = np.asarray(self.source, dtype=float)
         if src.shape != (3,):
             raise ValueError(f"source must be a 3-vector, got shape {src.shape}")
@@ -166,9 +167,12 @@ def _frame(rows) -> tuple[list, list, tuple[float, ...], float]:
     """
     origin = rows[0]
     ox, oy, oz = origin
-    rel = [[x - ox, y - oy, z - oz] for x, y, z in rows]
-    sq = tuple([(x * x + z * z) + y * y for x, y, z in rel])
-    return rel, origin, sq, math.sqrt(max(sq))
+    rel, sq = [], []
+    for x, y, z in rows:
+        x, y, z = x - ox, y - oy, z - oz
+        rel.append([x, y, z])
+        sq.append((x * x + z * z) + y * y)
+    return rel, origin, tuple(sq), math.sqrt(max(sq))
 
 
 def _forward(sq) -> list[float]:
@@ -291,7 +295,10 @@ def load_scenario(path) -> ScenarioDocument:
 
     try:
         rows = raw["sensors"] if type(raw["sensors"]) is list else [raw["sensors"]]
-        rows = [_numbers(row, 3, "each sensor") for row in rows]
+        # Three floats with a finite sum, so each finite, pass as _numbers would pass them.
+        if not all([type(r) is list and len(r) == 3 and type(r[0]) is type(r[1]) is type(r[2])
+                    is float and math.isfinite(r[0] + r[1] + r[2]) for r in rows]):
+            rows = [_numbers(row, 3, "each sensor") for row in rows]
         _check_array(rows)
     except ValueError as err:
         raise ScenarioFormatError(f"bad sensor list: {err}") from err

@@ -92,8 +92,11 @@ class ExperimentConfig:
     scale_grid: tuple[float, ...] = (1.0,)  # source scales, one sweep row each
 
     def __post_init__(self):
-        object.__setattr__(self, "thresholds", tuple(float(t) for t in self.thresholds))
-        object.__setattr__(self, "scale_grid", tuple(float(s) for s in self.scale_grid))
+        for name in ("thresholds", "scale_grid"):
+            try:
+                object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
+            except (TypeError, ValueError) as err:
+                raise InvalidConfigError(f"{name} must be a sequence of numbers: {err}") from None
         for name in ("n_sensors", "n_instances", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):

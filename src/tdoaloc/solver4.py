@@ -19,8 +19,7 @@ import numpy as np
 
 from .errors import DegenerateLinearError, NoCandidatesError, NoRealSolutionError
 from .geom3 import _eliminate
-from .measurement import (SensorArray, _dot, _frame, _readonly, _squared_distances,
-                          as_range_differences, as_sensor_array)
+from .measurement import SensorArray, _frame, _readonly, as_range_differences, as_sensor_array
 from .result import AmbiguityResolution, Candidate, LocalizationResult, Method
 
 # Tolerances separating analytic degeneracy from round-off. EPS_LIN detects a
@@ -41,18 +40,19 @@ def _line_rows(rel, sq, d) -> list[list[float]]:
     ``sq`` their squared norms, ``d`` the range differences): per
     non-reference sensor the augmented row of the matrix, the range vector
     and the constant vector, ``[-2 x, -2 y, -2 z, 2 d, sq - d * d]``."""
-    return [[-2.0 * x, -2.0 * y, -2.0 * z, 2.0 * v, s - v * v]
-            for (x, y, z), s, v in zip(rel[1:], sq[1:], d)]
+    _, (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = rel
+    (_, s1, s2, s3), (d1, d2, d3) = sq, d
+    return [[-2.0 * x1, -2.0 * y1, -2.0 * z1, 2.0 * d1, s1 - d1 * d1],
+            [-2.0 * x2, -2.0 * y2, -2.0 * z2, 2.0 * d2, s2 - d2 * d2],
+            [-2.0 * x3, -2.0 * y3, -2.0 * z3, 2.0 * d3, s3 - d3 * d3]]
 
 
 def _retain(values, eps_rho: float) -> tuple[float, ...]:
     # Negative beyond round-off is nonphysical; barely negative clamps to 0.
     kept = set()
     for v in values:
-        if v >= 0.0:
-            kept.add(v)
-        elif v >= -eps_rho:
-            kept.add(0.0)
+        if v >= -eps_rho:
+            kept.add(v if v >= 0.0 else 0.0)
     return tuple(sorted(kept))
 
 
@@ -73,12 +73,12 @@ def _quadratic(slope, offset, baseline: float) -> tuple:
             linear root exists.
     """
     # Python floats overflow to inf, and inf * 0 is NaN, silently; no such root is kept.
-    xx = _dot(slope, slope)
-    b_half = _dot(slope, offset)
-    c_coef = _dot(offset, offset)
+    (sx, sy, sz), (ox, oy, oz) = slope, offset
+    xx = (sx * sx + sy * sy) + sz * sz
+    b_half = (sx * ox + sy * oy) + sz * oz
+    c_coef = (ox * ox + oy * oy) + oz * oz
     a = xx - 1.0
     disc = b_half * b_half - a * c_coef
-    eps_rho = EPS_RHO_REL * baseline
 
     linear = abs(a) < EPS_LIN * (xx + 1.0)
     if linear:
@@ -105,24 +105,24 @@ def _quadratic(slope, offset, baseline: float) -> tuple:
             sqrt_disc = math.sqrt(used)
             q = b_half + sqrt_disc if b_half >= 0.0 else b_half - sqrt_disc
             values = (q / a, c_coef / q)
-    return a, b_half, c_coef, _retain(values, eps_rho), disc, linear
+    return a, b_half, c_coef, _retain(values, EPS_RHO_REL * baseline), disc, linear
 
 
 def _candidates(slope, offset, origin, roots) -> list[tuple[float, np.ndarray, list]]:
     """The absolute candidate position of each retained range root on the
     line ``rho * slope - offset``: ``(rho, position, floats)``, the position
     as a read-only array and as a list of floats."""
-    line = list(zip(slope, offset, origin))
+    (sx, sy, sz), (ox, oy, oz), (gx, gy, gz) = slope, offset, origin
     candidates = []
     for rho in roots:
-        pos = [rho * s - o + g for s, o, g in line]
+        pos = [rho * sx - ox + gx, rho * sy - oy + gy, rho * sz - oz + gz]
         candidates.append((rho, _readonly(np.array(pos)), pos))
     return candidates
 
 
 def _resolve(candidates, rel, origin, d, baseline: float, diagnostics: dict) -> LocalizationResult:
-    """Score candidates, as :func:`_candidates` gives them, by their
-    re-predicted range-difference mismatch and pick one, as
+    """Score candidates, as :func:`_candidates` gives them (ascending in
+    range), by their re-predicted range-difference mismatch and pick one, as
     :func:`solve_four_sensor` describes; the result keeps their arrays and
     the ``diagnostics`` dict.
 
@@ -133,27 +133,30 @@ def _resolve(candidates, rel, origin, d, baseline: float, diagnostics: dict) -> 
         raise NoCandidatesError(
             "no nonnegative reference-range root; no candidate positions to score"
         )
+    _, (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = rel
+    (gx, gy, gz), (d1, d2, d3) = origin, d
     scored = []
-    for rho, pos, floats in candidates:
-        rel_pos = [p - g for p, g in zip(floats, origin)]
-        ranges = list(map(math.sqrt, _squared_distances(rel, rel_pos)))
-        r0 = ranges[0]
-        mismatch = [(r - r0) - v for r, v in zip(ranges[1:], d)]
-        scored.append(Candidate(float(rho), pos, _dot(mismatch, mismatch)))
+    for rho, pos, (px, py, pz) in candidates:
+        # Ranges from the candidate in the referenced frame, whose row 0 is zero.
+        px, py, pz = px - gx, py - gy, pz - gz
+        r0 = math.sqrt((px * px + py * py) + pz * pz)
+        m1 = (math.sqrt(((x1 - px) * (x1 - px) + (y1 - py) * (y1 - py)) + (z1 - pz) * (z1 - pz))
+              - r0) - d1
+        m2 = (math.sqrt(((x2 - px) * (x2 - px) + (y2 - py) * (y2 - py)) + (z2 - pz) * (z2 - pz))
+              - r0) - d2
+        m3 = (math.sqrt(((x3 - px) * (x3 - px) + (y3 - py) * (y3 - py)) + (z3 - pz) * (z3 - pz))
+              - r0) - d3
+        scored.append(Candidate(float(rho), pos, (m1 * m1 + m2 * m2) + m3 * m3))
 
-    best = min(range(len(scored)), key=lambda i: scored[i].residual)
-    ambiguous = False
-    if len(scored) == 1:
-        resolved = AmbiguityResolution.SINGLE_ROOT
-    else:
+    best, ambiguous, resolved = 0, False, AmbiguityResolution.SINGLE_ROOT
+    if len(scored) == 2:
         resolved = AmbiguityResolution.RESIDUAL
         r0, r1 = scored[0].residual, scored[1].residual
-        # Smallest rho + d_i over both candidates, against the admissibility
-        # slack below zero. Two exact solutions, or a residual tie, keep the
-        # first (smaller-range) candidate.
-        ambiguous = min(c.reference_range for c in scored) + min(d) >= -EPS_RHO_REL * baseline
-        if ambiguous or abs(r0 - r1) <= EPS_TIE * max(abs(r0), abs(r1)):
-            best = 0
+        # The smaller rho + d_i against the admissibility slack below zero. Two
+        # exact solutions, or a residual tie, keep the first (smaller-rho) one.
+        ambiguous = scored[0].reference_range + min(d1, d2, d3) >= -EPS_RHO_REL * baseline
+        tie = abs(r0 - r1) <= EPS_TIE * max(abs(r0), abs(r1))
+        best = 1 if r1 < r0 and not (ambiguous or tie) else 0
     return LocalizationResult(scored[best].position, Method.FOUR_SENSOR, tuple(scored), resolved,
                               ambiguous, diagnostics)
 
@@ -161,8 +164,8 @@ def _resolve(candidates, rel, origin, d, baseline: float, diagnostics: dict) -> 
 def solve_four_sensor(sensors: SensorArray, deltas) -> LocalizationResult:
     """Localize a source from four sensors and three range differences.
 
-    ``sensors`` is a :class:`SensorArray` or an array-like of its rows. The
-    pipeline runs on Python floats with no intermediate records: the 3x3
+    ``sensors`` is a :class:`SensorArray` or an array-like of its rows. Each
+    stage is straight-line arithmetic on unpacked Python floats: the 3x3
     solve for the candidate line, the quadratic in the reference range, and
     the pick among its candidates. Every dot product is the plain sum
     ``(x0*y0 + x1*y1) + x2*y2``; none goes through BLAS.

@@ -70,9 +70,10 @@ def _build(r, sq, d, switch: float, pairings, row_form: str):
         xk, yk, zk = r[k]
         xj, yj, zj = r[j]
         if row_form == "auto":
-            if max(abs(dk), abs(dj)) < switch:
+            ak, aj = abs(dk), abs(dj)
+            if ak < switch and aj < switch:
                 return None
-            use_literal = min(abs(dk), abs(dj)) >= switch
+            use_literal = ak >= switch and aj >= switch
         else:
             use_literal = row_form == "literal"
             if use_literal and dj == 0.0:
@@ -117,7 +118,7 @@ def solve_five_sensor(sensors: SensorArray, deltas) -> LocalizationResult:
     deltas = as_range_differences(deltas)
     if sensors.n_sensors != 5 or deltas.n_sensors != 5:
         raise ValueError("five-sensor solve needs 5 sensors and 4 range differences")
-    rel, origin, sq, baseline = _frame(sensors.positions.tolist())
+    rel, (gx, gy, gz), sq, baseline = _frame(sensors.positions.tolist())
 
     d = deltas.deltas.tolist()
     switch = EPS_DELTA * baseline
@@ -128,19 +129,19 @@ def solve_five_sensor(sensors: SensorArray, deltas) -> LocalizationResult:
             continue
         rows, scaled = built
         try:
-            (ref_position,), pivots = _eliminate(rows)
+            ((x, y, z),), pivots = _eliminate(rows)
         except SingularMatrixError as err:
             # Without its traceback: that holds this frame, which would hold
             # the error, a cycle only the garbage collector frees.
             singular_err = err.with_traceback(None)
             continue
-        position = [x + g for x, g in zip(ref_position, origin)]
-        if not all(map(math.isfinite, position)):
+        x, y, z = x + gx, y + gy, z + gz
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
             # Range differences far beyond every baseline overflow their squares.
             raise NoRealSolutionError(
                 "range differences too large for the array: no finite position"
             )
-        return LocalizationResult(_readonly(np.array(position)), Method.FIVE_SENSOR, (),
+        return LocalizationResult(_readonly(np.array([x, y, z])), Method.FIVE_SENSOR, (),
                                   AmbiguityResolution.NOT_APPLICABLE, False, {
                                       "pivots": pivots,
                                       "pivot_ratio": min(pivots) / max(pivots),

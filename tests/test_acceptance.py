@@ -183,9 +183,10 @@ def test_criterion_2_four_sensor_noise_free_exactness():
     assert clause_a_ok, (
         f"4-sensor resolved fraction at T=1e-3 is below 0.95: min "
         f"{min(fracs.values()):.3f}; per scale (resolved, raw success, flagged): "
-        f"{per_scale}. The raw success fraction sits near 0.78 because about half "
-        "of the sampled instances admit two exact solutions; those must be "
-        "flagged ambiguous with truth among the candidates. See the README and "
+        f"{per_scale}. The raw success fraction is about 0.88-0.91 at scales up "
+        "to 0.32 and about 0.80 at scale 1, below 1 because about half of the "
+        "sampled instances admit two exact solutions; those must be flagged "
+        "ambiguous with truth among the candidates. See the README and "
         "demos/degenerate_and_ambiguous.py."
     )
 

@@ -106,6 +106,12 @@ def test_sensors_given_as_a_list(solve, n):
     assert result.position.tolist() == solve(array, deltas).position.tolist()
     with pytest.raises(ValueError, match=r"must be an \(n, 3\) array"):
         solve([row[:2] for row in UNIT_5[:n]], deltas)
+    # A scenario takes the rows as the solvers do.
+    scenario = tdoaloc.Scenario(sensors=UNIT_5[:n], source=(2.0, 3.0, 4.0))
+    assert scenario.sensors.positions.tolist() == array.positions.tolist()
+    assert tdoaloc.range_differences(scenario).deltas.tolist() == deltas.deltas.tolist()
+    with pytest.raises(ValueError, match=r"must be an \(n, 3\) array"):
+        tdoaloc.Scenario(sensors=[row[:2] for row in UNIT_5[:n]], source=(2.0, 3.0, 4.0))
 
 
 @pytest.mark.parametrize("n", [4, 5])

@@ -41,6 +41,11 @@ def test_config_validation():
         ExperimentConfig(n_instances=mc.MAX_INSTANCES + 1)
     with pytest.raises(InvalidConfigError):
         ExperimentConfig(scale_grid=(1.0,) * (mc.MAX_SCALES + 1))
+    # Values that are not numbers, or not a sequence, are config errors too.
+    for bad in (dict(thresholds=("a",)), dict(thresholds=None), dict(scale_grid="abc"),
+                dict(thresholds=(1e-3j,)), dict(scale_grid=1.0)):
+        with pytest.raises(InvalidConfigError):
+            ExperimentConfig(**bad)
     for seed in (-1, 1.0, True, "3", None):
         with pytest.raises(InvalidConfigError):
             ExperimentConfig(seed=seed)
