@@ -30,14 +30,6 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s, default propagation speed
 EPS_SEP = 1e-9
 
 
-def _squared_distances(rows, point) -> list[float]:
-    """Squared distance from ``point`` to each row on Python floats, summed
-    ``(x + y) + z`` as ``np.sum`` sums three entries: bit-identical to it."""
-    px, py, pz = point
-    return [((x - px) * (x - px) + (y - py) * (y - py)) + (z - pz) * (z - pz)
-            for x, y, z in rows]
-
-
 def _dot(x, y) -> float:
     """``(x0 * y0 + x1 * y1) + x2 * y2`` on Python floats, as ``_batch`` sums columns."""
     return (x[0] * y[0] + x[1] * y[1]) + x[2] * y[2]
@@ -46,11 +38,11 @@ def _dot(x, y) -> float:
 def _check_array(rows) -> None:
     if len(rows) not in (4, 5):
         raise ValueError(f"need exactly 4 or 5 sensors, got {len(rows)}")
-    # Every pair's squared distance, in one pass, summed as _squared_distances sums.
-    closest = min([((x - a) * (x - a) + (y - b) * (y - b)) + (z - c) * (z - c)
-                   for i, (a, b, c) in enumerate(rows) for x, y, z in rows[i + 1:]])
-    if closest <= EPS_SEP * EPS_SEP:
-        raise ValueError(f"sensors closer than {EPS_SEP} m make the geometry singular")
+    # Each pair's squared distance, summed as _forward sums, in one nested loop.
+    for i, (a, b, c) in enumerate(rows):
+        for x, y, z in rows[i + 1:]:
+            if ((x - a) * (x - a) + (y - b) * (y - b)) + (z - c) * (z - c) <= EPS_SEP * EPS_SEP:
+                raise ValueError(f"sensors closer than {EPS_SEP} m make the geometry singular")
 
 
 def _readonly(array: np.ndarray) -> np.ndarray:
@@ -144,14 +136,26 @@ class Scenario:
             raise ValueError(f"source must be a 3-vector, got shape {src.shape}")
         if not np.all(np.isfinite(src)):
             raise ValueError("source position must be finite")
-        _check_clearance(_squared_distances(self.sensors.positions.tolist(), src.tolist()))
+        _forward(self.sensors.positions.tolist(), src.tolist())  # the clearance check
         object.__setattr__(self, "source", _readonly(src))
 
 
-def _check_clearance(sq) -> None:
-    """Reject a source whose squared distance ``sq`` to some sensor is too small."""
-    if min(sq) <= EPS_SEP * EPS_SEP:
-        raise ValueError("source coincides with a sensor position")
+def _forward(rows, point) -> list[float]:
+    """The forward model on Python floats, in one pass over the sensor rows:
+    the range differences of ``point`` against row 0, each squared distance
+    summed ``(x + y) + z`` as ``np.sum`` sums three entries (bit-identical to
+    it). Raises ValueError if ``point`` is within EPS_SEP of a row."""
+    px, py, pz = point
+    d, r0 = [], None
+    for x, y, z in rows:
+        sq = ((x - px) * (x - px) + (y - py) * (y - py)) + (z - pz) * (z - pz)
+        if sq <= EPS_SEP * EPS_SEP:
+            raise ValueError("source coincides with a sensor position")
+        if r0 is None:
+            r0 = math.sqrt(sq)
+        else:
+            d.append(math.sqrt(sq) - r0)
+    return d
 
 
 def _frame(rows) -> tuple[list, list, tuple[float, ...], float]:
@@ -175,17 +179,11 @@ def _frame(rows) -> tuple[list, list, tuple[float, ...], float]:
     return rel, origin, tuple(sq), math.sqrt(max(sq))
 
 
-def _forward(sq) -> list[float]:
-    """Range differences from the squared source-to-sensor distances ``sq``."""
-    rho = [math.sqrt(v) for v in sq]
-    return [r - rho[0] for r in rho[1:]]
-
-
 def range_differences(scenario: Scenario) -> RangeDifferences:
     """Noise-free forward model: range differences against the reference.
     Raises ValueError if a range overflows (a source beyond about 1e154 m)."""
-    sq = _squared_distances(scenario.sensors.positions.tolist(), scenario.source.tolist())
-    return RangeDifferences(deltas=np.array(_forward(sq)))
+    d = _forward(scenario.sensors.positions.tolist(), scenario.source.tolist())
+    return RangeDifferences(deltas=np.array(d))
 
 
 def arrival_times_to_range_diffs(times, c: float = SPEED_OF_LIGHT) -> np.ndarray:
@@ -214,11 +212,13 @@ def arrival_times_to_range_diffs(times, c: float = SPEED_OF_LIGHT) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 _DOCUMENT_KEYS = {"sensors", "source", "deltas", "times", "c"}
+_WHITESPACE = " \t\n\r"  # what JSON skips between tokens
+_decode = json.JSONDecoder().raw_decode  # json.loads's decoder, without its wrapper
 
 
 @dataclass(frozen=True)
 class ScenarioDocument:
-    """Parsed scenario file: sensors plus either a truth source or deltas."""
+    """Parsed scenario file: sensors plus either a truth source or deltas, all read-only."""
 
     sensors: SensorArray
     source: np.ndarray | None
@@ -229,11 +229,11 @@ def _numbers(values, count: int, name: str) -> list[float]:
     """The JSON list of ``count`` numbers ``values`` as floats. Each must be
     an int or a float, not a bool (an int to Python) or a string, and finite:
     an int beyond the float range is rejected, not raised as OverflowError.
-    A list of finite floats, the usual case, is returned as it is."""
+    A list of floats with a finite sum, so each finite, is returned as it is."""
     if type(values) is not list or len(values) != count:
         got = len(values) if type(values) is list else json.dumps(values)
         raise ValueError(f"{name} must be a list of {count} numbers, got {got}")
-    if all(map(isinstance, values, repeat(float))) and all(map(math.isfinite, values)):
+    if all(map(isinstance, values, repeat(float))) and math.isfinite(sum(values)):
         return values
     floats = []
     for v in values:
@@ -266,8 +266,9 @@ def _read(path) -> bytes:
 
 def load_scenario(path) -> ScenarioDocument:
     """Parse and validate a scenario document. One read takes the file, one
-    pass converts and checks every value, and each record is built once
-    from the checked values, with no further check.
+    decoder call parses it, accepting and rejecting text as ``json.loads``
+    does, one pass converts and checks every value, and each record is built
+    once from the checked values, with no further check.
 
     Raises:
         ScenarioFormatError: on unreadable or malformed JSON, wrong arity,
@@ -275,19 +276,24 @@ def load_scenario(path) -> ScenarioDocument:
             inconsistent values.
     """
     try:
-        raw = json.loads(_read(path).decode())
+        text = _read(path).decode()
+        if text.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        raw, end = _decode(text, len(text) - len(text.lstrip(_WHITESPACE)))
+        if rest := text[end:].lstrip(_WHITESPACE):
+            raise json.JSONDecodeError("Extra data", text, len(text) - len(rest))
     except (OSError, ValueError) as err:  # ValueError: bad JSON, bad UTF-8, too many digits
         raise ScenarioFormatError(f"cannot parse scenario document: {err}") from err
     if not isinstance(raw, dict):
         raise ScenarioFormatError("scenario document must be a JSON object")
-    unknown = set(raw) - _DOCUMENT_KEYS
-    if unknown:
-        raise ScenarioFormatError(f"unknown scenario keys: {sorted(unknown)}")
+    if not raw.keys() <= _DOCUMENT_KEYS:
+        raise ScenarioFormatError(f"unknown scenario keys: {sorted(raw.keys() - _DOCUMENT_KEYS)}")
     if "sensors" not in raw:
         raise ScenarioFormatError("scenario document is missing 'sensors'")
 
-    given = [k for k in ("source", "deltas", "times") if k in raw]
-    if len(given) != 1:
+    # Every key is known and 'sensors' is one of them: the rest but 'c' are kinds.
+    if len(raw) - ("c" in raw) != 2:
+        given = [k for k in ("source", "deltas", "times") if k in raw]
         raise ScenarioFormatError(
             "exactly one of 'source', 'deltas' or 'times' must be present, "
             f"got {given or 'none'}"
@@ -311,7 +317,7 @@ def load_scenario(path) -> ScenarioDocument:
         if not c > 0.0:
             raise ValueError(f"propagation speed must be positive, got {c}")
         if "source" in raw:
-            source = np.array(_numbers(raw["source"], 3, "'source'"))
+            source = _readonly(np.array(_numbers(raw["source"], 3, "'source'")))
         else:
             if "deltas" in raw:
                 d = _numbers(raw["deltas"], n - 1, "'deltas'")
@@ -341,9 +347,9 @@ def write_scenario(out, scenario: Scenario) -> None:
 
 def document_deltas(doc: ScenarioDocument) -> RangeDifferences:
     """Range differences for a document as ``load_scenario`` returns it: as
-    given, or forward-modelled from its checked source. The squared
-    source-to-sensor distances serve both the clearance check and the
-    forward model.
+    given, or forward-modelled from its checked source by the pass over the
+    sensors that ``Scenario`` and ``range_differences`` run, which checks
+    the source's clearance as it goes.
 
     Raises:
         ScenarioFormatError: if the source sits on a sensor or is too far
@@ -351,10 +357,8 @@ def document_deltas(doc: ScenarioDocument) -> RangeDifferences:
     """
     if doc.deltas is not None:
         return doc.deltas
-    sq = _squared_distances(doc.sensors.positions.tolist(), doc.source.tolist())
     try:
-        _check_clearance(sq)
-        d = _forward(sq)
+        d = _forward(doc.sensors.positions.tolist(), doc.source.tolist())
         # A source too far out overflows to non-finite range differences.
         if not all(map(math.isfinite, d)):
             raise ValueError("range differences must be finite")

@@ -94,7 +94,13 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("thresholds", "scale_grid"):
             try:
-                object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
+                # float() would read "1e-3", b"1" and True as numbers. A str's
+                # items are strs; a bytes object, whose items are ints, is one item.
+                values = getattr(self, name)
+                items = (values,) if isinstance(values, (bytes, bytearray)) else tuple(values)
+                if any(isinstance(v, (str, bytes, bytearray, bool, np.bool_)) for v in items):
+                    raise TypeError(f"got {values!r}")
+                object.__setattr__(self, name, tuple(float(v) for v in items))
             except (TypeError, ValueError) as err:
                 raise InvalidConfigError(f"{name} must be a sequence of numbers: {err}") from None
         for name in ("n_sensors", "n_instances", "seed"):

@@ -3,6 +3,7 @@
 import ast
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -160,11 +161,16 @@ def _subprocess_env() -> dict:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
 
 
-# success_fraction_sweep.py is left out: it writes a CSV and a PNG into demos/.
-@pytest.mark.parametrize("demo", ["exact_localization.py", "degenerate_and_ambiguous.py"])
-def test_demo_runs(demo):
-    proc = subprocess.run([sys.executable, str(DEMOS / demo)], capture_output=True,
-                          text=True, env=_subprocess_env())
+# Each demo runs from a copy in tmp_path, so what it writes next to itself
+# (success_fraction_sweep.py's CSV and PNG) stays out of demos/.
+@pytest.mark.parametrize(
+    "demo", ["exact_localization.py", "degenerate_and_ambiguous.py", "success_fraction_sweep.py"]
+)
+def test_demo_runs(demo, tmp_path):
+    copy = tmp_path / demo
+    shutil.copyfile(DEMOS / demo, copy)
+    proc = subprocess.run([sys.executable, str(copy)], capture_output=True, text=True,
+                          env=_subprocess_env())
     assert proc.returncode == 0, proc.stderr
 
 

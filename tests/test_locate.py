@@ -185,3 +185,58 @@ def test_locate_unreadable_document_parse_error(tmp_path, capsys, text):
         load_scenario(path)
     assert main(["locate", str(path)]) == EXIT_PARSE_ERROR
     assert capsys.readouterr().err.startswith("error: cannot parse")
+
+
+EDGE_DOC = '{"sensors": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], "deltas": [0.1, 0.2, 0.3]}'
+PARSE = "cannot parse scenario document: "
+
+
+# Document texts at the edges of JSON: each is accepted (None), or rejected
+# with the message json.loads gives it, at the same position.
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param(EDGE_DOC, None, id="plain"),
+        pytest.param("   " + EDGE_DOC, None, id="leading_spaces"),
+        pytest.param("\t\n\r\n " + EDGE_DOC, None, id="leading_tabs_newlines"),
+        pytest.param(EDGE_DOC + "   ", None, id="trailing_spaces"),
+        pytest.param(EDGE_DOC + "\t\r\n\n", None, id="trailing_tabs_newlines"),
+        pytest.param(EDGE_DOC + " x", PARSE + "Extra data: line 1 column 86 (char 85)",
+                     id="trailing_garbage"),
+        pytest.param(EDGE_DOC + ",", PARSE + "Extra data: line 1 column 85 (char 84)",
+                     id="trailing_comma"),
+        pytest.param(EDGE_DOC + EDGE_DOC, PARSE + "Extra data: line 1 column 85 (char 84)",
+                     id="two_objects"),
+        pytest.param(EDGE_DOC + "\n" + EDGE_DOC + "\n",
+                     PARSE + "Extra data: line 2 column 1 (char 85)", id="two_objects_newline"),
+        pytest.param("", PARSE + "Expecting value: line 1 column 1 (char 0)", id="empty"),
+        pytest.param(" \t\n\r ", PARSE + "Expecting value: line 2 column 3 (char 5)",
+                     id="whitespace_only"),
+        pytest.param("\ufeff" + EDGE_DOC, PARSE + "Unexpected UTF-8 BOM (decode using "
+                     "utf-8-sig): line 1 column 1 (char 0)", id="bom"),
+        pytest.param(" \ufeff" + EDGE_DOC, PARSE + "Expecting value: line 1 column 2 (char 1)",
+                     id="space_then_bom"),
+        # Form feed and no-break space are whitespace to Python, not to JSON.
+        pytest.param("\f" + EDGE_DOC, PARSE + "Expecting value: line 1 column 1 (char 0)",
+                     id="form_feed"),
+        pytest.param(EDGE_DOC + "\u00a0", PARSE + "Extra data: line 1 column 85 (char 84)",
+                     id="trailing_nbsp"),
+        pytest.param(EDGE_DOC.replace("0.2", "NaN"), "'deltas' must hold finite numbers",
+                     id="nan"),
+        pytest.param(EDGE_DOC.replace("0.2", "Infinity"), "'deltas' must hold finite numbers",
+                     id="infinity"),
+        pytest.param(EDGE_DOC.replace("0.2", "-Infinity"), "'deltas' must hold finite numbers",
+                     id="minus_infinity"),
+        pytest.param(EDGE_DOC[:-1], PARSE + "Expecting ',' delimiter: line 1 column 84 (char 83)",
+                     id="truncated"),
+    ],
+)
+def test_document_text_edges(tmp_path, text, message):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(text.encode())
+    if message is None:
+        assert load_scenario(path).deltas.deltas.tolist() == [0.1, 0.2, 0.3]
+        return
+    with pytest.raises(ScenarioFormatError) as err:
+        load_scenario(path)
+    assert str(err.value) == message

@@ -16,7 +16,7 @@ from tdoaloc import (
     range_differences,
     write_scenario,
 )
-from tdoaloc.measurement import _frame, _squared_distances
+from tdoaloc.measurement import _forward, _frame
 
 CANONICAL_SENSORS_5 = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
 CANONICAL_SOURCE = (2, 3, 4)
@@ -163,9 +163,10 @@ def test_triangle_inequality_on_deltas():
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_squared_distances_round_like_numpy_sum(n):
-    # The Python-float distances replace np.sum(diff * diff, axis=1) in the
-    # forward model and the residuals, so they must round the same way. The
-    # entries span six decades, so the other summation orders often differ.
+    # The forward model's Python-float distances replace np.sum(diff * diff,
+    # axis=1), so they must round the same way: its range differences equal
+    # numpy's. The entries span six decades, so the other summation orders
+    # often differ.
     rng = np.random.default_rng(8)
     reordered = 0
     for _ in range(2000):
@@ -173,9 +174,10 @@ def test_squared_distances_round_like_numpy_sum(n):
         point = rng.standard_normal(3) * 10.0 ** rng.integers(-3, 4, 3)
         diff = rows - point
         squares = (diff * diff).tolist()
-        expected = np.sum(diff * diff, axis=1).tolist()
-        assert _squared_distances(rows.tolist(), point.tolist()) == expected
-        reordered += any(a + (b + c) != e for (a, b, c), e in zip(squares, expected))
+        expected = np.sum(diff * diff, axis=1)
+        rho = np.sqrt(expected)
+        assert _forward(rows.tolist(), point.tolist()) == (rho[1:] - rho[0]).tolist()
+        reordered += any(a + (b + c) != e for (a, b, c), e in zip(squares, expected.tolist()))
     assert reordered > 100
 
 

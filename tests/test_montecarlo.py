@@ -46,6 +46,12 @@ def test_config_validation():
                 dict(thresholds=(1e-3j,)), dict(scale_grid=1.0)):
         with pytest.raises(InvalidConfigError):
             ExperimentConfig(**bad)
+    # Strings, bytes and bools that float() would take as numbers are not.
+    for bad in (dict(scale_grid="123"), dict(scale_grid=b"123"), dict(thresholds=b"\x01"),
+                dict(thresholds=("1e-3",)), dict(scale_grid=(1.0, b"2")),
+                dict(thresholds=(True,)), dict(scale_grid=(np.True_,))):
+        with pytest.raises(InvalidConfigError):
+            ExperimentConfig(**bad)
     for seed in (-1, 1.0, True, "3", None):
         with pytest.raises(InvalidConfigError):
             ExperimentConfig(seed=seed)

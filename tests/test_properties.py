@@ -388,4 +388,4 @@ def test_documents_equal_the_public_constructors_bit_for_bit(doc_path, kind, dat
     assert _bits(deltas) == _bits(expected_deltas), doc
     for array in (loaded.sensors.positions, loaded.source, deltas):
         assert array is None or array.dtype == np.float64, doc
-    assert not loaded.sensors.positions.flags.writeable and not deltas.flags.writeable
+        assert array is None or not array.flags.writeable, doc
