@@ -51,16 +51,15 @@ CSV_COLUMNS = (
 )
 
 
-def _exit_code(err: LocalizationError) -> int:
-    if isinstance(err, ScenarioFormatError):
-        return EXIT_PARSE_ERROR
-    if isinstance(err, SingularMatrixError):
-        return EXIT_SINGULAR
-    if isinstance(err, NoRealSolutionError):
-        return EXIT_NO_REAL_SOLUTION
-    if isinstance(err, InvalidConfigError):
-        return EXIT_INVALID_CONFIG
-    return EXIT_DEGENERATE
+# The exit code of a LocalizationError: that of the first class it is an
+# instance of.
+_EXIT_CODES = (
+    (ScenarioFormatError, EXIT_PARSE_ERROR),
+    (SingularMatrixError, EXIT_SINGULAR),
+    (NoRealSolutionError, EXIT_NO_REAL_SOLUTION),
+    (InvalidConfigError, EXIT_INVALID_CONFIG),
+    (LocalizationError, EXIT_DEGENERATE),
+)
 
 
 def _fmt_vec(v) -> str:
@@ -151,45 +150,27 @@ def _write_out(path, write) -> int:
 
 
 def cmd_locate(args) -> int:
-    try:
-        doc = load_scenario(args.scenario)
-        deltas = document_deltas(doc)
-        result = localize(doc.sensors, deltas)
-    except LocalizationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return _exit_code(err)
+    doc = load_scenario(args.scenario)
+    result = localize(doc.sensors, document_deltas(doc))
     return _write_out(args.out, functools.partial(_print_report, result))
 
 
 def cmd_sweep(args) -> int:
-    try:
-        summary = run_sweep(ExperimentConfig(
-            n_sensors=args.sensors,
-            n_instances=args.instances,
-            thresholds=tuple(_parse_floats(args.thresholds, "--thresholds")),
-            seed=args.seed,
-            scale_grid=_scale_grid(args),
-        ))
-    except LocalizationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return _exit_code(err)
+    summary = run_sweep(ExperimentConfig(
+        n_sensors=args.sensors,
+        n_instances=args.instances,
+        thresholds=tuple(_parse_floats(args.thresholds, "--thresholds")),
+        seed=args.seed,
+        scale_grid=_scale_grid(args),
+    ))
     writers = {"csv": write_sweep_csv, "json": write_sweep_json}
     return _write_out(args.out, functools.partial(writers[args.format], summary))
 
 
 def cmd_gen(args) -> int:
-    try:
-        if args.sensors not in (4, 5):
-            raise InvalidConfigError(f"--sensors must be 4 or 5, got {args.sensors}")
-        if not 0.0 < args.scale < math.inf:
-            raise InvalidConfigError(f"--scale must be finite and positive, got {args.scale}")
-        if args.seed < 0:
-            raise InvalidConfigError(f"--seed must be >= 0, got {args.seed}")
-        rng = np.random.default_rng(args.seed)
-        scenario = sample_scenario(rng, args.sensors, args.scale)
-    except LocalizationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return _exit_code(err)
+    if args.seed < 0:
+        raise InvalidConfigError(f"--seed must be >= 0, got {args.seed}")
+    scenario = sample_scenario(np.random.default_rng(args.seed), args.sensors, args.scale)
     return _write_out(args.out, lambda out: write_scenario(out, scenario))
 
 
@@ -240,7 +221,11 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as err:
         return int(err.code) if err.code is not None else EXIT_OK
-    return args.func(args)
+    try:
+        return args.func(args)
+    except LocalizationError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return next(code for cls, code in _EXIT_CODES if isinstance(err, cls))
 
 
 if __name__ == "__main__":

@@ -1,53 +1,17 @@
 """Fixed-size 3D linear algebra kernel: the pivoted 3x3 solve.
 
-Pure: the public solve takes array-likes (a ``(3, 3)`` matrix and a ``(3,)``
-or ``(3, k)`` right-hand side) and returns numpy arrays; the elimination
-itself, which the scalar solvers call directly, runs on lists of Python
-floats.
+Pure: the solve takes the rows of an augmented system as lists of Python
+floats and returns tuples of Python floats; both solvers call it.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import SingularMatrixError
 
 # Relative pivot threshold separating true rank deficiency from round-off.
 EPS_RANK = 1e-12
-
-
-def solve3_pivoted(matrix, rhs) -> tuple[np.ndarray, tuple[float, float, float]]:
-    """Solve a 3x3 linear system, returning the solution and pivot magnitudes.
-
-    Direct Gaussian elimination with partial (row) pivoting; algebraically the
-    same as multiplying by the matrix inverse but better behaved near
-    degenerate geometries. ``rhs`` is one right-hand side of shape ``(3,)`` or
-    ``k`` of them as the columns of a ``(3, k)`` array; the solution has the
-    same shape. All right-hand sides share one elimination, and each column
-    goes through exactly the floating-point operations a single-column solve
-    would, so the result does not depend on how many are solved together.
-    Deterministic: identical inputs give bit-identical outputs.
-
-    Raises:
-        SingularMatrixError: if any elimination pivot falls below
-            ``EPS_RANK`` times the largest entry magnitude of the matrix,
-            i.e. the system is numerically rank-deficient, or is NaN.
-    """
-    m = np.asarray(matrix, dtype=float)
-    v = np.asarray(rhs, dtype=float)
-    if m.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
-    if v.shape[:1] != (3,) or v.ndim > 2 or v.size == 0:
-        raise ValueError(
-            f"expected a (3,) or (3, k) right-hand side, got shape {v.shape}"
-        )
-
-    # The right-hand sides as extra columns of the matrix rows.
-    xs, pivots = _eliminate(np.hstack((m, v.reshape(3, -1))).tolist())
-    x = np.array(xs[0]) if v.ndim == 1 else np.array(xs).T
-    return x, pivots
 
 
 def _singular(piv: float, tol: float) -> SingularMatrixError:
@@ -56,15 +20,27 @@ def _singular(piv: float, tol: float) -> SingularMatrixError:
     )
 
 
-def _eliminate(a: list) -> tuple[list, tuple[float, float, float]]:
-    """:func:`solve3_pivoted` on Python floats. ``a`` holds the three rows
-    of the augmented system ``[matrix | rhs_1 ... rhs_k]`` as lists; it is
-    not modified. Returns one ``(x0, x1, x2)`` tuple per right-hand side and
-    the pivot magnitudes; raises as ``solve3_pivoted`` does.
+def solve3_pivoted(a: list) -> tuple[list, tuple[float, float, float]]:
+    """Solve a 3x3 linear system, returning the solutions and pivot magnitudes.
 
-    The matrix entries are eliminated in locals, then each right-hand side
-    goes through the same row operations in the same order, so every entry
-    sees the floating-point operations of a row-by-row elimination.
+    ``a`` holds the three rows of the augmented system
+    ``[matrix | rhs_1 ... rhs_k]`` as lists of floats; it is not modified.
+    Returns one ``(x0, x1, x2)`` tuple per right-hand side and the pivot
+    magnitudes.
+
+    Direct Gaussian elimination with partial (row) pivoting; algebraically the
+    same as multiplying by the matrix inverse but better behaved near
+    degenerate geometries. The matrix entries are eliminated in locals, then
+    each right-hand side goes through the same row operations in the same
+    order, so every entry sees the floating-point operations of a row-by-row
+    elimination and a solution does not depend on how many right-hand sides
+    are solved together. Deterministic: identical inputs give bit-identical
+    outputs.
+
+    Raises:
+        SingularMatrixError: if any elimination pivot falls below
+            ``EPS_RANK`` times the largest entry magnitude of the matrix,
+            i.e. the system is numerically rank-deficient, or is NaN.
     """
     r0, r1, r2 = a
     scale = max(abs(r0[0]), abs(r0[1]), abs(r0[2]), abs(r1[0]), abs(r1[1]), abs(r1[2]),

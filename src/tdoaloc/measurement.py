@@ -282,7 +282,8 @@ def load_scenario(path) -> ScenarioDocument:
         raw, end = _decode(text, len(text) - len(text.lstrip(_WHITESPACE)))
         if rest := text[end:].lstrip(_WHITESPACE):
             raise json.JSONDecodeError("Extra data", text, len(text) - len(rest))
-    except (OSError, ValueError) as err:  # ValueError: bad JSON, bad UTF-8, too many digits
+    # ValueError: bad JSON, bad UTF-8, too many digits; RecursionError: too deep nesting.
+    except (OSError, ValueError, RecursionError) as err:
         raise ScenarioFormatError(f"cannot parse scenario document: {err}") from err
     if not isinstance(raw, dict):
         raise ScenarioFormatError("scenario document must be a JSON object")
@@ -306,7 +307,7 @@ def load_scenario(path) -> ScenarioDocument:
                     is float and math.isfinite(r[0] + r[1] + r[2]) for r in rows]):
             rows = [_numbers(row, 3, "each sensor") for row in rows]
         _check_array(rows)
-    except ValueError as err:
+    except (ValueError, RecursionError) as err:  # RecursionError: json.dumps of a deep value
         raise ScenarioFormatError(f"bad sensor list: {err}") from err
     sensors = _checked(SensorArray, "positions", rows)
     n = len(rows)
@@ -329,7 +330,7 @@ def load_scenario(path) -> ScenarioDocument:
                 if not all(map(math.isfinite, d)):
                     raise ValueError("range differences must be finite")
             deltas = _checked(RangeDifferences, "deltas", d)
-    except ValueError as err:
+    except (ValueError, RecursionError) as err:
         raise ScenarioFormatError(str(err)) from err
 
     return ScenarioDocument(sensors, source, deltas)

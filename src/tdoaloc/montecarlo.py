@@ -177,8 +177,14 @@ def sample_scenario(
     same shrunk by ``source_scale``. Sensors are drawn before the source.
 
     Raises:
+        InvalidConfigError: ``n_sensors`` is not 4 or 5, or ``source_scale``
+            is not finite and positive; nothing is drawn.
         DegenerateSamplingError: after MAX_SAMPLE_ATTEMPTS rejected draws.
     """
+    if n_sensors not in (4, 5):
+        raise InvalidConfigError(f"n_sensors must be 4 or 5, got {n_sensors}")
+    if not 0.0 < source_scale < math.inf:
+        raise InvalidConfigError(f"source_scale must be finite and positive, got {source_scale}")
     for _ in range(MAX_SAMPLE_ATTEMPTS):
         sensors = rng.random((n_sensors, 3)) - 0.5
         source = source_scale * (rng.random(3) - 0.5)

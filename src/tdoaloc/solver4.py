@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateLinearError, NoCandidatesError, NoRealSolutionError
-from .geom3 import _eliminate
+from .geom3 import solve3_pivoted
 from .measurement import SensorArray, _frame, _readonly, as_range_differences, as_sensor_array
 from .result import AmbiguityResolution, Candidate, LocalizationResult, Method
 
@@ -201,7 +201,7 @@ def solve_four_sensor(sensors: SensorArray, deltas) -> LocalizationResult:
         raise ValueError("four-sensor solve needs 4 sensors and 3 range differences")
     d = deltas.deltas.tolist()
     rel, origin, sq, baseline = _frame(sensors.positions.tolist())
-    (slope, offset), pivots = _eliminate(_line_rows(rel, sq, d))
+    (slope, offset), pivots = solve3_pivoted(_line_rows(rel, sq, d))
     a, b_half, c_coef, roots, disc, linear = _quadratic(slope, offset, baseline)
     return _resolve(_candidates(slope, offset, origin, roots), rel, origin, d, baseline, {
         "pivots": pivots,

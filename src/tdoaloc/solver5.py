@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateDeltasError, NoRealSolutionError, SingularMatrixError
-from .geom3 import _eliminate
+from .geom3 import solve3_pivoted
 from .measurement import SensorArray, _frame, _readonly, as_range_differences, as_sensor_array
 from .result import AmbiguityResolution, LocalizationResult, Method
 
@@ -23,11 +23,6 @@ from .result import AmbiguityResolution, LocalizationResult, Method
 # divides by one of the range differences; the cleared form is the same
 # equation multiplied through by that value and stays finite at zero.
 EPS_DELTA = 1e-9
-
-# Three sensor pairings (0-based indices, reference is 0) used to build the
-# linear system. Each pairing (k, j) eliminates the reference range between
-# the measurements of sensors k and j.
-DEFAULT_PAIRINGS = ((2, 1), (3, 2), (4, 3))
 
 _ALL_DEGENERATE = (
     "no sensor pairing yields a nonzero equation; the source is on a "
@@ -44,6 +39,11 @@ PAIRING_FALLBACKS = tuple(
     for rot in ((1, 2, 3, 4), (2, 3, 4, 1), (3, 4, 1, 2), (4, 1, 2, 3))
     for chain in (rot, rot[::-1])
 )
+# Three sensor pairings (0-based indices, reference is 0) used to build the
+# linear system. Each pairing (k, j) eliminates the reference range between
+# the measurements of sensors k and j. The default chain 1, 2, 3, 4,
+# ((2, 1), (3, 2), (4, 3)), is the one set the sweep kernel (``_batch``) solves.
+DEFAULT_PAIRINGS = PAIRING_FALLBACKS[0]
 
 
 def _build(r, sq, d, switch: float, pairings, row_form: str):
@@ -129,7 +129,7 @@ def solve_five_sensor(sensors: SensorArray, deltas) -> LocalizationResult:
             continue
         rows, scaled = built
         try:
-            ((x, y, z),), pivots = _eliminate(rows)
+            ((x, y, z),), pivots = solve3_pivoted(rows)
         except SingularMatrixError as err:
             # Without its traceback: that holds this frame, which would hold
             # the error, a cycle only the garbage collector frees.

@@ -1,6 +1,7 @@
 """The package root's public names, and what its callers reach through it."""
 
 import ast
+import inspect
 import os
 import re
 import shutil
@@ -92,6 +93,27 @@ def test_diagnostics_keys_are_fixed(sensors, source, path, taken):
 
 
 UNIT_5 = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 1.0, 1.0)]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_each_solve_calls_the_one_kernel_once(n, monkeypatch):
+    # Both solvers reach the 3x3 solve by its public name, once per solve.
+    from tdoaloc import geom3, solver4, solver5
+
+    calls = []
+
+    def counting(rows):
+        calls.append(rows)
+        return geom3.solve3_pivoted(rows)
+
+    monkeypatch.setattr(solver4, "solve3_pivoted", counting)
+    monkeypatch.setattr(solver5, "solve3_pivoted", counting)
+    array = tdoaloc.SensorArray(UNIT_5[:n])
+    tdoaloc.localize(array, tdoaloc.range_differences(tdoaloc.Scenario(array, (2.0, 3.0, 4.0))))
+    assert len(calls) == 1
+    public = [name for name, value in vars(geom3).items()
+              if inspect.isfunction(value) and not name.startswith("_")]
+    assert public == ["solve3_pivoted"]
 
 
 @pytest.mark.parametrize("solve, n", [

@@ -6,30 +6,30 @@ from tdoaloc.geom3 import solve3_pivoted
 
 
 def test_solve3_identity():
-    x = solve3_pivoted(np.eye(3), (4, 5, 6))[0]
+    x = solve3_pivoted([[1.0, 0.0, 0.0, 4.0], [0.0, 1.0, 0.0, 5.0], [0.0, 0.0, 1.0, 6.0]])[0][0]
     np.testing.assert_array_equal(x, [4.0, 5.0, 6.0])
 
 
 def test_solve3_diagonal():
-    x = solve3_pivoted(np.diag([2.0, 4.0, 8.0]), (2, 4, 8))[0]
+    x = solve3_pivoted([[2.0, 0.0, 0.0, 2.0], [0.0, 4.0, 0.0, 4.0], [0.0, 0.0, 8.0, 8.0]])[0][0]
     np.testing.assert_array_equal(x, [1.0, 1.0, 1.0])
 
 
 def test_solve3_two_equal_rows_is_singular():
-    a = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [0.0, 1.0, 4.0]])
+    a = [[1.0, 2.0, 3.0, 1.0], [1.0, 2.0, 3.0, 1.0], [0.0, 1.0, 4.0, 1.0]]
     with pytest.raises(SingularMatrixError):
-        solve3_pivoted(a, (1, 1, 1))
+        solve3_pivoted(a)
 
 
 def test_solve3_zero_matrix_is_singular():
     with pytest.raises(SingularMatrixError):
-        solve3_pivoted(np.zeros((3, 3)), (1, 1, 1))
+        solve3_pivoted([[0.0, 0.0, 0.0, 1.0]] * 3)
 
 
 def test_solve3_needs_pivoting():
     # Zero in the (0, 0) slot forces a row swap.
-    a = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    np.testing.assert_allclose(solve3_pivoted(a, (2.0, 3.0, 4.0))[0], [3.0, 2.0, 4.0])
+    a = [[0.0, 1.0, 0.0, 2.0], [1.0, 0.0, 0.0, 3.0], [0.0, 0.0, 1.0, 4.0]]
+    np.testing.assert_allclose(solve3_pivoted(a)[0][0], [3.0, 2.0, 4.0])
 
 
 def test_solve3_roundtrip_well_conditioned():
@@ -41,7 +41,8 @@ def test_solve3_roundtrip_well_conditioned():
         if np.linalg.cond(a) >= 1e6:
             continue
         s = rng.standard_normal(3)
-        x, pivots = solve3_pivoted(a, a @ s)
+        (x,), pivots = solve3_pivoted(np.column_stack((a, a @ s)).tolist())
+        x = np.array(x)
         assert np.linalg.norm(x - s) < 1e-10 * np.linalg.norm(s)
         assert len(pivots) == 3 and all(p > 0 for p in pivots)
         # residual stays at machine precision relative to the problem scale
@@ -54,9 +55,10 @@ def test_solve3_deterministic_bit_identical():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((3, 3))
     b = rng.standard_normal(3)
-    x1 = solve3_pivoted(a, b)[0]
-    x2 = solve3_pivoted(a.copy(), b.copy())[0]
-    assert x1.tobytes() == x2.tobytes()
+    rows = np.column_stack((a, b)).tolist()
+    x1 = solve3_pivoted(rows)[0]
+    x2 = solve3_pivoted([row.copy() for row in rows])[0]
+    assert np.array(x1).tobytes() == np.array(x2).tobytes()
 
 
 def test_solve3_columns_match_single_solves():
@@ -66,17 +68,16 @@ def test_solve3_columns_match_single_solves():
     for _ in range(200):
         a = rng.standard_normal((3, 3))
         b = rng.standard_normal((3, 2))
-        x, pivots = solve3_pivoted(a, b)
-        assert x.shape == (3, 2)
+        xs, pivots = solve3_pivoted(np.column_stack((a, b)).tolist())
+        assert len(xs) == 2
         for k in range(2):
-            xk, pk = solve3_pivoted(a, b[:, k])
-            assert x[:, k].tobytes() == xk.tobytes()
+            (xk,), pk = solve3_pivoted(np.column_stack((a, b[:, k])).tolist())
+            assert np.array(xs[k]).tobytes() == np.array(xk).tobytes()
             assert pivots == pk
-
 
 
 def test_solve3_zero_pivot_fails_where_tolerance_underflows():
     # EPS_RANK times the largest entry rounds to 0 below about 5e-312; a zero
     # pivot must still fail the rank test, not divide by zero.
     with pytest.raises(SingularMatrixError):
-        solve3_pivoted([[5e-324, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 5e-324]], [1.0, 1.0, 1.0])
+        solve3_pivoted([[5e-324, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 5e-324, 1.0]])

@@ -170,13 +170,19 @@ def test_huge_deltas_give_a_typed_error(tmp_path, capsys, n, deltas, error, code
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+# Nesting beyond the interpreter's recursion limit.
+DEEP_SENSORS = '{"sensors": ' + "[" * 5000
+DEEP_BARE = "[" * 100_000
+
+
 @pytest.mark.parametrize(
     "text",
     [
         b'{"sensors": [[0, 0, 0]], "source": "\xe9"}',  # not UTF-8
         b'{"sensors": [[0, 0, 0]], "deltas": [1' + b"0" * 5000 + b"]}",  # too many digits
+        DEEP_SENSORS.encode(),
     ],
-    ids=["not_utf8", "int_too_long"],
+    ids=["not_utf8", "int_too_long", "too_deep"],
 )
 def test_locate_unreadable_document_parse_error(tmp_path, capsys, text):
     path = tmp_path / "scenario.json"
@@ -189,6 +195,7 @@ def test_locate_unreadable_document_parse_error(tmp_path, capsys, text):
 
 EDGE_DOC = '{"sensors": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], "deltas": [0.1, 0.2, 0.3]}'
 PARSE = "cannot parse scenario document: "
+DEEP = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
 
 
 # Document texts at the edges of JSON: each is accepted (None), or rejected
@@ -229,6 +236,8 @@ PARSE = "cannot parse scenario document: "
                      id="minus_infinity"),
         pytest.param(EDGE_DOC[:-1], PARSE + "Expecting ',' delimiter: line 1 column 84 (char 83)",
                      id="truncated"),
+        pytest.param(DEEP_SENSORS, PARSE + DEEP, id="deep_sensors"),
+        pytest.param(DEEP_BARE, PARSE + DEEP, id="deep_bare"),
     ],
 )
 def test_document_text_edges(tmp_path, text, message):
@@ -240,3 +249,14 @@ def test_document_text_edges(tmp_path, text, message):
     with pytest.raises(ScenarioFormatError) as err:
         load_scenario(path)
     assert str(err.value) == message
+
+
+def test_nesting_at_every_depth_is_a_format_error(tmp_path):
+    # Up to past the recursion limit, wherever the decoder stops: a value
+    # nested just below it passes the decoder, and the error message that
+    # prints it must not overflow the stack.
+    path = tmp_path / "scenario.json"
+    for depth in range(1, 1100):
+        path.write_text(EDGE_DOC.replace("0.2", "[" * depth + "0.2" + "]" * depth))
+        with pytest.raises(ScenarioFormatError):
+            load_scenario(path)

@@ -106,6 +106,17 @@ def test_sampling_abort_after_bounded_attempts(monkeypatch):
     assert calls["n"] == mc.MAX_SAMPLE_ATTEMPTS
 
 
+@pytest.mark.parametrize("n_sensors, scale", [
+    (3, 1.0), (6, 1.0), (5, 0.0), (5, -1.0), (4, float("nan")), (4, float("inf")),
+])
+def test_sampling_rejects_bad_arguments_before_drawing(n_sensors, scale):
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(InvalidConfigError):
+        sample_scenario(rng, n_sensors, scale)
+    assert rng.bit_generator.state == state
+
+
 def test_instance_rng_split_independence():
     r00 = instance_rng(1, 0, 0).random(4)
     r01 = instance_rng(1, 0, 1).random(4)

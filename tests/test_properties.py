@@ -17,11 +17,15 @@ translation or a reordering of the non-reference sensors.
 Scenario documents go through ``load_scenario`` and ``document_deltas``,
 which check each value once and build their records without the public
 constructors; they must give what those constructors give, bit for bit, and
-reject with ``ScenarioFormatError`` what the constructors reject.
+reject with ``ScenarioFormatError`` what the constructors reject. A valid
+document text with characters deleted or inserted, a number replaced by a
+non-number, or a value nested past the decoder's depth must still give a
+finite position or a ``LocalizationError``.
 """
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +56,7 @@ from tdoaloc import (  # noqa: E402
     sample_scenario,
 )
 from tdoaloc._batch import _solve3, solve_scale  # noqa: E402
-from tdoaloc.geom3 import _eliminate, solve3_pivoted  # noqa: E402
+from tdoaloc.geom3 import solve3_pivoted  # noqa: E402
 from tdoaloc.measurement import EPS_SEP, _frame  # noqa: E402
 from tdoaloc.solver5 import EPS_DELTA, PAIRING_FALLBACKS, _build  # noqa: E402
 
@@ -108,14 +112,13 @@ def test_solve3_equals_scalar_solve_bit_for_bit(k, data):
     with np.errstate(all="ignore"):
         x, ok = _solve3(np.stack(systems, axis=-1))
     for n, system in enumerate(systems):
-        # k = 1 as a (3,) right-hand side, k = 2 as a (3, 2) one.
-        rhs = system[:, 3] if k == 1 else system[:, 3:]
         try:
-            expected, _ = solve3_pivoted(system[:, :3], rhs)
+            xs, _ = solve3_pivoted(system.tolist())
         except SingularMatrixError:
             assert not ok[n], system
             continue
         assert ok[n], system
+        expected = np.array(xs).T  # one column per right-hand side
         assert _bits(x[..., n].reshape(expected.shape)) == _bits(expected), system
 
 
@@ -233,7 +236,7 @@ def _first_singular_pairings(sensors, deltas):
         built = _build(rel, sq, d, EPS_DELTA * baseline, pairings, "auto")
         if built is not None:
             try:
-                _eliminate(built[0])
+                solve3_pivoted(built[0])
             except SingularMatrixError:
                 return pairings
             return None
@@ -389,3 +392,60 @@ def test_documents_equal_the_public_constructors_bit_for_bit(doc_path, kind, dat
     for array in (loaded.sensors.positions, loaded.source, deltas):
         assert array is None or array.dtype == np.float64, doc
         assert array is None or not array.flags.writeable, doc
+
+
+# Characters a mutation inserts: JSON punctuation, JSON and non-JSON
+# whitespace, and a byte-order mark.
+_INSERTS = '{}[],:"' + " \t\n\r\f\u00a0" + "\ufeff"
+# A JSON number, and a list holding no list (a sensor row, a source, ...).
+_NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+_FLAT_LIST = re.compile(r"\[[^\[\]]*\]")
+
+
+@st.composite
+def _mutated_documents(draw):
+    """The text of a valid source, deltas or times document after one to
+    three mutations: a character deleted or inserted, a number replaced by
+    one of ``true``, ``"1"``, ``1e400`` and ``NaN``, or a number or a list
+    wrapped in 2000 brackets."""
+    n = draw(st.sampled_from([4, 5]))
+    scenario = sample_scenario(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, 1.0)
+    kind = draw(st.sampled_from(["source", "deltas", "times"]))
+    if kind == "source":
+        value = scenario.source.tolist()
+    elif kind == "deltas":
+        value = range_differences(scenario).deltas.tolist()
+    else:
+        ranges = np.linalg.norm(scenario.sensors.positions - scenario.source, axis=1)
+        value = (ranges / SPEED_OF_LIGHT).tolist()
+    text = json.dumps({"sensors": scenario.sensors.positions.tolist(), kind: value})
+    for _ in range(draw(st.integers(1, 3))):
+        mutation = draw(st.sampled_from(["delete", "insert", "number", "wrap"]))
+        if mutation in ("delete", "insert"):
+            i = draw(st.integers(0, len(text)))
+            new = "" if mutation == "delete" else draw(st.sampled_from(_INSERTS))
+            text = text[:i] + new + text[i + (mutation == "delete"):]
+            continue
+        spans = [m.span() for m in _NUMBER.finditer(text)]
+        if mutation == "wrap":
+            spans += [m.span() for m in _FLAT_LIST.finditer(text)]
+        if not spans:
+            continue
+        start, end = draw(st.sampled_from(spans))
+        if mutation == "wrap":
+            new = "[" * 2000 + text[start:end] + "]" * 2000
+        else:
+            new = draw(st.sampled_from(["true", '"1"', "1e400", "NaN"]))
+        text = text[:start] + new + text[end:]
+    return text
+
+
+@given(text=_mutated_documents())
+def test_mutated_documents_give_positions_or_typed_errors(doc_path, text):
+    doc_path.write_text(text, encoding="utf-8")
+    try:
+        doc = load_scenario(doc_path)
+        result = localize(doc.sensors, document_deltas(doc))
+    except LocalizationError:
+        return
+    assert np.isfinite(result.position).all(), text

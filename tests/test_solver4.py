@@ -17,7 +17,7 @@ from tdoaloc import (
     range_differences,
     solve_four_sensor,
 )
-from tdoaloc.geom3 import _eliminate
+from tdoaloc.geom3 import solve3_pivoted
 from tdoaloc.measurement import _frame
 from tdoaloc.solver4 import _candidates, _line_rows, _quadratic, _resolve, _retain
 
@@ -64,7 +64,7 @@ def _line(sensors, deltas):
     line's slope and offset, and the frame's origin and longest baseline."""
     rel, origin, sq, baseline = _frame(sensors.positions.tolist())
     rows = _line_rows(rel, sq, deltas.deltas.tolist())
-    (slope, offset), _ = _eliminate(rows)
+    (slope, offset), _ = solve3_pivoted(rows)
     return np.array(rows), slope, offset, origin, baseline
 
 
