@@ -1,29 +1,12 @@
 """Batch scoring of sweep instances for :func:`tdoaloc.montecarlo.run_sweep`.
 
-The solvers are closed-form, so the instances of one sweep scale run as the
-rows of numpy arrays, with per row the floating-point operations of the
-scalar pipeline (sampling, forward model, solver, scoring): every result is
-bit-identical to ``run_instance``'s. The arrays are structures of arrays:
-each coordinate, matrix entry or right-hand side is an ``(N,)`` column, and
-a row swap is a ``np.where`` between columns. Elementwise arithmetic keeps
-the scalar order of operations; the reductions follow the scalar code:
-
-- squared distances (sensor pairs, source gaps, candidate ranges) are the
-  column sums ``(x + y) + z`` of the scalar Python sums;
-- squared baselines are the column sums ``(x * x + z * z) + y * y`` of
-  ``measurement._frame``, the order in which numpy's ``einsum`` ``"ij,ij->i"`` sums a
-  3-vector (``(x + y) + z`` differs from it on about a quarter of random rows);
-- every dot product (the quadratic's coefficients, residuals, norms) is the
-  column sum ``(x0 * y0 + x1 * y1) + x2 * y2`` of ``measurement._dot``.
-
-Two admissible candidates (``ambiguous``) keep the smaller-range one, as in
-``solver4._resolve``; otherwise the smaller residual decides.
-
-A row is generic when the scalar path would take no branch but the plain
-one: the first draw is valid, every elimination pivot passes the rank test,
-four-sensor rows have a positive discriminant and one or two distinct,
-unclamped nonnegative roots, and five-sensor rows build the default pairing
-set in the literal row form. Every other row is marked for the scalar path,
+The instances of one sweep scale run as the rows of numpy arrays: each
+coordinate, matrix entry or right-hand side is an ``(N,)`` column. Every
+straight-line rule is the solvers' own helper, called on columns, so a row
+gets ``run_instance``'s result bit for bit. This module keeps the pivoted
+3x3 elimination, where a row swap is a ``np.where`` between columns, and
+the branches, as masks: a row is generic when the scalar path would take
+no branch but the plain one. Every other row is left to the scalar path,
 so each edge case keeps its one, scalar, implementation.
 """
 
@@ -34,24 +17,18 @@ import math
 import numpy as np
 
 from .geom3 import EPS_RANK
-from .measurement import EPS_SEP
-from .solver4 import EPS_LIN, EPS_RHO_REL, EPS_TIE
-from .solver5 import DEFAULT_PAIRINGS, EPS_DELTA
+from .measurement import EPS_SEP, _dot
+from .solver4 import EPS_LIN, EPS_RHO_REL, EPS_TIE, _coefficients, _line_rows, _point, _residual
+from .solver5 import DEFAULT_PAIRINGS, EPS_DELTA, _literal_row
 
 # Upper-triangle (i < j) index pairs per supported array size.
 _SENSOR_PAIRS = {n: np.triu_indices(n, k=1) for n in (4, 5)}
-# The sensors k and j of the default five-sensor pairings (k, j).
-_PAIR_K, _PAIR_J = np.array(DEFAULT_PAIRINGS).T
-
-
-def _col_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``(x0 * y0 + x1 * y1) + x2 * y2`` of ``(3, N)`` columns, per row."""
-    return (x[0] * y[0] + x[1] * y[1]) + x[2] * y[2]
+# The sensors k (row 0) and j (row 1) of the default five-sensor pairings (k, j).
+_PAIRS = np.array(DEFAULT_PAIRINGS).T
 
 
 def _sq_norm3(diff: np.ndarray) -> np.ndarray:
-    """``(x * x + y * y) + z * z`` over axis -2 of ``(..., 3, N)`` columns,
-    squaring ``diff`` in place."""
+    """``(x * x + y * y) + z * z`` over axis -2 of ``diff``, squared in place."""
     np.square(diff, out=diff)
     total = diff[..., 0, :] + diff[..., 1, :]
     total += diff[..., 2, :]
@@ -82,7 +59,7 @@ def _solve3(system: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     to2 = mag[2, 0] > np.where(to1, mag[1, 0], mag[0, 0])
     to1 &= ~to2
     pivot_row = np.where(to2, s[2], np.where(to1, s[1], s[0]))
-    s[1:] = np.where(np.stack((to1, to2))[:, None], s[0], s[1:])
+    s[1:] = np.where(np.array((to1, to2))[:, None], s[0], s[1:])
     s[0] = pivot_row
     _eliminate(s, 0)
     swap = np.abs(s[2, 1]) > np.abs(s[1, 1])
@@ -93,31 +70,25 @@ def _solve3(system: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x2 = s[2, 3:] / s[2, 2]
     x1 = (s[1, 3:] - s[1, 2] * x2) / s[1, 1]
     x0 = (s[0, 3:] - s[0, 1] * x1 - s[0, 2] * x2) / s[0, 0]
-    return np.stack((x0, x1, x2)), ok
+    return np.array((x0, x1, x2)), ok
 
 
 def _rel_error(position: np.ndarray, truth: np.ndarray, truth_norm: np.ndarray) -> np.ndarray:
     err = position - truth
-    return np.sqrt(_col_dot(err, err)) / truth_norm
+    return np.sqrt(_dot(err, err)) / truth_norm
 
 
 def _four_sensor(rel, sq, origin, d, source, truth_norm):
     """Generic four-sensor rows: line solve, quadratic, candidates, pick."""
-    rhs = np.stack((2.0 * d, sq[1:] - d * d), axis=1)
-    line, generic = _solve3(np.concatenate((-2.0 * rel[1:], rhs), axis=1))
+    line, generic = _solve3(np.array(_line_rows(rel, sq, d)))
     slope, offset = line[:, 0], line[:, 1]
-
-    xx = _col_dot(slope, slope)
-    a = xx - 1.0
-    b_half = _col_dot(slope, offset)
-    c_coef = _col_dot(offset, offset)
-    disc = b_half * b_half - a * c_coef
+    xx, a, b_half, c_coef, disc = _coefficients(slope, offset)
     # A vanishing leading coefficient (linear fallback) and a discriminant
     # at or below zero (tangency, clamp or no real root) go to the scalar path.
     generic &= ~(np.abs(a) < EPS_LIN * (xx + 1.0)) & (disc > 0.0)
     sqrt_disc = np.sqrt(disc)
     q = np.where(b_half >= 0.0, b_half + sqrt_disc, b_half - sqrt_disc)
-    roots = np.stack((q / a, c_coef / q))
+    roots = np.array((q / a, c_coef / q))
 
     # A root is kept when nonnegative and dropped when below -eps_rho; one in
     # between is clamped to zero, and two equal roots merge, which the scalar
@@ -127,52 +98,48 @@ def _four_sensor(rel, sq, origin, d, source, truth_norm):
     two = kept[0] & kept[1]
     generic &= np.isfinite(roots).all(axis=0) & kept.any(axis=0) & ~(two & (roots[0] == roots[1]))
     generic &= (kept | (roots < -eps_rho)).all(axis=0)
-    # Candidates in ascending range, (2, 3, N); the second exists where ``two``.
+    # Candidates in ascending range, (3, 2, N); the second exists where ``two``.
     first = np.where(two, roots.min(axis=0), np.where(kept[0], roots[0], roots[1]))
-    pos = np.stack((first, roots.max(axis=0)))[:, None] * slope - offset + origin
-
-    ranges = np.sqrt(_sq_norm3(rel - (pos - origin)[:, None]))
-    r0, r1 = _sq_norm3((ranges[:, 1:] - ranges[:, :1]) - d)
+    pos = np.array(_point(np.array((first, roots.max(axis=0))), slope, offset, origin))
+    r0, r1 = _residual(pos, rel, origin, d, np.sqrt)
     generic &= np.isfinite(r0) & np.isfinite(r1)
     # Two admissible candidates keep the first (smaller range); otherwise the
     # first minimum wins, and so does the first candidate on a tie.
     ambiguous = two & (first + d.min(axis=0) >= -eps_rho)
     tie = np.abs(r0 - r1) <= EPS_TIE * np.maximum(np.abs(r0), np.abs(r1))
     pick_second = two & (r1 < r0) & ~tie & ~ambiguous
-    position = np.where(pick_second, pos[1], pos[0])
-    other = np.where(pick_second, pos[0], pos[1])
+    position = np.where(pick_second, pos[:, 1], pos[:, 0])
+    other = np.where(pick_second, pos[:, 0], pos[:, 1])
     has_other = two & (other != position).any(axis=0)
     losing = np.where(has_other, _rel_error(other, source, truth_norm), np.inf)
     return generic, position, losing
 
 
-def _five_sensor(rel, sq, d):
+def _five_sensor(rel, sq, origin, d):
     """Generic five-sensor rows: the default pairing set in literal form."""
-    dk, dj = d[_PAIR_K - 1], d[_PAIR_J - 1]
+    dk, dj = d[_PAIRS - 1]
     # A range difference below the switch means a cleared row or a pairing
     # retry, both left to the scalar path.
     switch = EPS_DELTA * np.sqrt(np.max(sq[1:], axis=0))
     generic = (np.minimum(np.abs(dk), np.abs(dj)) >= switch).all(axis=0)
-    ratio = dk / dj
-    rows = 2.0 * (rel[_PAIR_K] - ratio[:, None] * rel[_PAIR_J])
-    rhs = -(dk * dk - ratio * dj * dj) + (sq[_PAIR_K] - ratio * sq[_PAIR_J])
-    x, solved = _solve3(np.concatenate((rows, rhs[:, None]), axis=1))
-    return generic & solved, x[:, 0]
+    # The rows of sensors k and j, coordinates first, one entry per pairing.
+    x, solved = _solve3(np.stack(_literal_row(
+        *rel[_PAIRS].transpose(0, 2, 1, 3), *sq[_PAIRS], dk, dj), axis=1))
+    return generic & solved, x[:, 0] + origin, np.full(d.shape[1], np.inf)
 
 
 def solve_scale(draws: np.ndarray, n_sensors: int, source_scale: float):
     """Sample, forward-model, solve and score a batch of one scale's instances.
 
     ``draws`` holds one row per instance: the first ``3 * n_sensors + 3``
-    uniforms of its generator, which ``sample_scenario`` takes as the
-    sensors and then the source of its first draw; ``draws.T`` is read as
-    columns (no copy for ``_streams.uniforms``'s layout).
+    uniforms of its generator, the sensors and then the source of
+    ``sample_scenario``'s first draw. ``draws.T`` is read as columns, with no
+    copy for ``_streams.uniforms``'s layout.
 
-    Returns ``(generic, position, rel_error, losing)``, one row per
-    instance: whether the row is generic, the ``(N, 3)`` estimate, its
-    relative error, and the least relative error of another candidate
-    (inf if none). Only generic rows hold results; the others must be run
-    through the scalar path.
+    Returns ``(generic, position, rel_error, losing)`` per instance: whether
+    the row is generic, the ``(N, 3)`` estimate, its relative error, and the
+    least relative error of another candidate (inf if none). Only generic
+    rows hold results; the others must be run through the scalar path.
     """
     n = n_sensors
     cols = np.ascontiguousarray(draws.T)
@@ -196,13 +163,11 @@ def solve_scale(draws: np.ndarray, n_sensors: int, source_scale: float):
         rel = np.subtract(sensors, origin, out=sensors)  # the sensors are not read again
         x, y, z = rel[:, 0], rel[:, 1], rel[:, 2]
         sq = (x * x + z * z) + y * y
-        truth_norm = np.sqrt(_col_dot(source, source))
+        truth_norm = np.sqrt(_dot(source, source))
         generic &= truth_norm > 0.0
 
         if n == 5:
-            solved, position = _five_sensor(rel, sq, d)
-            position += origin
-            losing = np.full(len(draws), np.inf)
+            solved, position, losing = _five_sensor(rel, sq, origin, d)
         else:
             solved, position, losing = _four_sensor(rel, sq, origin, d, source, truth_norm)
         rel_error = _rel_error(position, source, truth_norm)

@@ -31,7 +31,8 @@ EPS_SEP = 1e-9
 
 
 def _dot(x, y) -> float:
-    """``(x0 * y0 + x1 * y1) + x2 * y2`` on Python floats, as ``_batch`` sums columns."""
+    """``(x0 * y0 + x1 * y1) + x2 * y2``, on Python floats or, in the sweep
+    batch, on numpy columns: the one dot of both paths."""
     return (x[0] * y[0] + x[1] * y[1]) + x[2] * y[2]
 
 
@@ -166,8 +167,10 @@ def _frame(rows) -> tuple[list, list, tuple[float, ...], float]:
 
     Each squared norm is ``(x * x + z * z) + y * y``, the order in which
     numpy's ``einsum`` ``"ij,ij->i"`` sums a 3-vector, so it equals that einsum bit
-    for bit; ``_batch`` sums its columns in the same order. Row 0 is zero,
-    so the largest squared norm is the longest baseline's.
+    for bit. Row 0 is zero, so the largest squared norm is the longest
+    baseline's. This sum is the one rule of the solves that the sweep batch
+    writes out again, on columns it rebases in place; for the others it
+    calls the solvers' helpers.
     """
     origin = rows[0]
     ox, oy, oz = origin
@@ -214,6 +217,7 @@ def arrival_times_to_range_diffs(times, c: float = SPEED_OF_LIGHT) -> np.ndarray
 _DOCUMENT_KEYS = {"sensors", "source", "deltas", "times", "c"}
 _WHITESPACE = " \t\n\r"  # what JSON skips between tokens
 _decode = json.JSONDecoder().raw_decode  # json.loads's decoder, without its wrapper
+_QUOTE_CHARS = 40  # the most of an offending value that an error message quotes
 
 
 @dataclass(frozen=True)
@@ -225,20 +229,26 @@ class ScenarioDocument:
     deltas: RangeDifferences | None
 
 
+def _clip(text: str) -> str:
+    """``text`` cut to ``_QUOTE_CHARS`` characters, for an error message that
+    quotes part of a document: a document can nest or repeat without end."""
+    return text if len(text) <= _QUOTE_CHARS else text[:_QUOTE_CHARS - 3] + "..."
+
+
 def _numbers(values, count: int, name: str) -> list[float]:
     """The JSON list of ``count`` numbers ``values`` as floats. Each must be
     an int or a float, not a bool (an int to Python) or a string, and finite:
     an int beyond the float range is rejected, not raised as OverflowError.
     A list of floats with a finite sum, so each finite, is returned as it is."""
     if type(values) is not list or len(values) != count:
-        got = len(values) if type(values) is list else json.dumps(values)
+        got = len(values) if type(values) is list else _clip(json.dumps(values))
         raise ValueError(f"{name} must be a list of {count} numbers, got {got}")
     if all(map(isinstance, values, repeat(float))) and math.isfinite(sum(values)):
         return values
     floats = []
     for v in values:
         if type(v) is not float and type(v) is not int:
-            raise ValueError(f"{name} must hold numbers, got {json.dumps(v)}")
+            raise ValueError(f"{name} must hold numbers, got {_clip(json.dumps(v))}")
         try:
             floats.append(float(v))
         except OverflowError:
@@ -288,7 +298,8 @@ def load_scenario(path) -> ScenarioDocument:
     if not isinstance(raw, dict):
         raise ScenarioFormatError("scenario document must be a JSON object")
     if not raw.keys() <= _DOCUMENT_KEYS:
-        raise ScenarioFormatError(f"unknown scenario keys: {sorted(raw.keys() - _DOCUMENT_KEYS)}")
+        unknown = _clip(str(sorted(raw.keys() - _DOCUMENT_KEYS)))
+        raise ScenarioFormatError(f"unknown scenario keys: {unknown}")
     if "sensors" not in raw:
         raise ScenarioFormatError("scenario document is missing 'sensors'")
 

@@ -18,7 +18,7 @@ The private ``_streams`` module computes a batch's draws, the doubles that
 each instance's ``instance_rng`` generator yields first, as array arithmetic
 without building a generator per instance. The private ``_batch`` module
 samples, solves and scores the batch's instances as one entry each of
-numpy columns, with the same floating-point operations as ``run_instance``. Rows it cannot
+numpy columns, calling the solvers' own helpers on them. Rows it cannot
 prove generic (a rejected draw, a singular pivot, a tangent or clamped root,
 a linear fallback, a cleared row or pairing retry, ...) are rerun one by one
 through ``sample_scenario`` and ``run_instance``, whose codes replace the
@@ -229,7 +229,7 @@ def run_instance(scenario: Scenario, thresholds) -> InstanceResult:
 
 
 def _rel_error(position: np.ndarray, truth: np.ndarray) -> float:
-    """``|position - truth| / |truth|`` on Python floats, with ``_batch``'s plain-sum dots."""
+    """``|position - truth| / |truth|`` on Python floats, by ``measurement._dot``."""
     truth = truth.tolist()
     err = [p - t for p, t in zip(position.tolist(), truth)]
     err, truth_norm = math.sqrt(_dot(err, err)), math.sqrt(_dot(truth, truth))

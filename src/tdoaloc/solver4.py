@@ -35,16 +35,59 @@ EPS_RHO_REL = 1e-12
 EPS_TIE = 1e-9
 
 
+# The straight-line rules below (_line_rows, _coefficients, _point,
+# _residual) take Python floats or numpy columns alike: the sweep batch runs
+# them on (N,) columns, or (2, N) for its two candidates, in the same
+# operations and order.
+
+
 def _line_rows(rel, sq, d) -> list[list[float]]:
-    """The four-sensor system on Python floats (``rel`` the referenced rows,
-    ``sq`` their squared norms, ``d`` the range differences): per
-    non-reference sensor the augmented row of the matrix, the range vector
-    and the constant vector, ``[-2 x, -2 y, -2 z, 2 d, sq - d * d]``."""
+    """The four-sensor system (``rel`` the referenced rows, ``sq`` their
+    squared norms, ``d`` the range differences): per non-reference sensor
+    the augmented row of the matrix, the range vector and the constant
+    vector, ``[-2 x, -2 y, -2 z, 2 d, sq - d * d]``."""
     _, (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = rel
     (_, s1, s2, s3), (d1, d2, d3) = sq, d
     return [[-2.0 * x1, -2.0 * y1, -2.0 * z1, 2.0 * d1, s1 - d1 * d1],
             [-2.0 * x2, -2.0 * y2, -2.0 * z2, 2.0 * d2, s2 - d2 * d2],
             [-2.0 * x3, -2.0 * y3, -2.0 * z3, 2.0 * d3, s3 - d3 * d3]]
+
+
+def _coefficients(slope, offset) -> tuple:
+    """``(xx, a, b_half, c, discriminant)`` of the reference-range quadratic
+    of the line ``r * slope - offset``: ``xx = slope . slope``, ``a = xx - 1``,
+    ``b_half = slope . offset``, ``c = offset . offset`` and
+    ``b_half^2 - a*c``, each dot the plain sum of ``measurement._dot``."""
+    (sx, sy, sz), (ox, oy, oz) = slope, offset
+    xx = (sx * sx + sy * sy) + sz * sz
+    b_half = (sx * ox + sy * oy) + sz * oz
+    c_coef = (ox * ox + oy * oy) + oz * oz
+    a = xx - 1.0
+    return xx, a, b_half, c_coef, b_half * b_half - a * c_coef
+
+
+def _point(rho, slope, offset, origin) -> list:
+    """The absolute position ``rho * slope - offset + origin`` on the line."""
+    (sx, sy, sz), (ox, oy, oz), (gx, gy, gz) = slope, offset, origin
+    return [rho * sx - ox + gx, rho * sy - oy + gy, rho * sz - oz + gz]
+
+
+def _residual(point, rel, origin, d, sqrt):
+    """The squared mismatch ``(m1*m1 + m2*m2) + m3*m3`` between the range
+    differences re-predicted at the absolute ``point`` and ``d``; ``sqrt`` is
+    ``math.sqrt`` on floats and ``np.sqrt`` on columns."""
+    _, (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = rel
+    (px, py, pz), (gx, gy, gz), (d1, d2, d3) = point, origin, d
+    # Ranges from the point in the referenced frame, whose row 0 is zero.
+    px, py, pz = px - gx, py - gy, pz - gz
+    r0 = sqrt((px * px + py * py) + pz * pz)
+    ex, ey, ez = x1 - px, y1 - py, z1 - pz
+    m1 = (sqrt((ex * ex + ey * ey) + ez * ez) - r0) - d1
+    ex, ey, ez = x2 - px, y2 - py, z2 - pz
+    m2 = (sqrt((ex * ex + ey * ey) + ez * ez) - r0) - d2
+    ex, ey, ez = x3 - px, y3 - py, z3 - pz
+    m3 = (sqrt((ex * ex + ey * ey) + ez * ez) - r0) - d3
+    return (m1 * m1 + m2 * m2) + m3 * m3
 
 
 def _retain(values, eps_rho: float) -> tuple[float, ...]:
@@ -73,12 +116,7 @@ def _quadratic(slope, offset, baseline: float) -> tuple:
             linear root exists.
     """
     # Python floats overflow to inf, and inf * 0 is NaN, silently; no such root is kept.
-    (sx, sy, sz), (ox, oy, oz) = slope, offset
-    xx = (sx * sx + sy * sy) + sz * sz
-    b_half = (sx * ox + sy * oy) + sz * oz
-    c_coef = (ox * ox + oy * oy) + oz * oz
-    a = xx - 1.0
-    disc = b_half * b_half - a * c_coef
+    xx, a, b_half, c_coef, disc = _coefficients(slope, offset)
 
     linear = abs(a) < EPS_LIN * (xx + 1.0)
     if linear:
@@ -112,10 +150,9 @@ def _candidates(slope, offset, origin, roots) -> list[tuple[float, np.ndarray, l
     """The absolute candidate position of each retained range root on the
     line ``rho * slope - offset``: ``(rho, position, floats)``, the position
     as a read-only array and as a list of floats."""
-    (sx, sy, sz), (ox, oy, oz), (gx, gy, gz) = slope, offset, origin
     candidates = []
     for rho in roots:
-        pos = [rho * sx - ox + gx, rho * sy - oy + gy, rho * sz - oz + gz]
+        pos = _point(rho, slope, offset, origin)
         candidates.append((rho, _readonly(np.array(pos)), pos))
     return candidates
 
@@ -133,20 +170,9 @@ def _resolve(candidates, rel, origin, d, baseline: float, diagnostics: dict) -> 
         raise NoCandidatesError(
             "no nonnegative reference-range root; no candidate positions to score"
         )
-    _, (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = rel
-    (gx, gy, gz), (d1, d2, d3) = origin, d
     scored = []
-    for rho, pos, (px, py, pz) in candidates:
-        # Ranges from the candidate in the referenced frame, whose row 0 is zero.
-        px, py, pz = px - gx, py - gy, pz - gz
-        r0 = math.sqrt((px * px + py * py) + pz * pz)
-        m1 = (math.sqrt(((x1 - px) * (x1 - px) + (y1 - py) * (y1 - py)) + (z1 - pz) * (z1 - pz))
-              - r0) - d1
-        m2 = (math.sqrt(((x2 - px) * (x2 - px) + (y2 - py) * (y2 - py)) + (z2 - pz) * (z2 - pz))
-              - r0) - d2
-        m3 = (math.sqrt(((x3 - px) * (x3 - px) + (y3 - py) * (y3 - py)) + (z3 - pz) * (z3 - pz))
-              - r0) - d3
-        scored.append(Candidate(float(rho), pos, (m1 * m1 + m2 * m2) + m3 * m3))
+    for rho, pos, floats in candidates:
+        scored.append(Candidate(float(rho), pos, _residual(floats, rel, origin, d, math.sqrt)))
 
     best, ambiguous, resolved = 0, False, AmbiguityResolution.SINGLE_ROOT
     if len(scored) == 2:
@@ -154,7 +180,7 @@ def _resolve(candidates, rel, origin, d, baseline: float, diagnostics: dict) -> 
         r0, r1 = scored[0].residual, scored[1].residual
         # The smaller rho + d_i against the admissibility slack below zero. Two
         # exact solutions, or a residual tie, keep the first (smaller-rho) one.
-        ambiguous = scored[0].reference_range + min(d1, d2, d3) >= -EPS_RHO_REL * baseline
+        ambiguous = scored[0].reference_range + min(d) >= -EPS_RHO_REL * baseline
         tie = abs(r0 - r1) <= EPS_TIE * max(abs(r0), abs(r1))
         best = 1 if r1 < r0 and not (ambiguous or tie) else 0
     return LocalizationResult(scored[best].position, Method.FOUR_SENSOR, tuple(scored), resolved,

@@ -46,49 +46,42 @@ PAIRING_FALLBACKS = tuple(
 DEFAULT_PAIRINGS = PAIRING_FALLBACKS[0]
 
 
-def _build(r, sq, d, switch: float, pairings, row_form: str):
+def _literal_row(rk, rj, sk, sj, dk, dj) -> list:
+    """Pairing (k, j)'s augmented row ``[matrix | rhs]`` in the literal form,
+    which divides by ``dj`` (``rk``, ``rj`` the referenced rows of sensors k
+    and j, ``sk``, ``sj`` their squared norms, ``dk``, ``dj`` their range
+    differences), on Python floats or, in the sweep batch, on numpy columns."""
+    (xk, yk, zk), (xj, yj, zj) = rk, rj
+    ratio = dk / dj
+    return [2.0 * (xk - ratio * xj), 2.0 * (yk - ratio * yj), 2.0 * (zk - ratio * zj),
+            -(dk * dk - ratio * dj * dj) + (sk - ratio * sj)]
+
+
+def _cleared_row(rk, rj, sk, sj, dk, dj) -> list:
+    """The literal row multiplied through by ``dj``: finite at zero."""
+    (xk, yk, zk), (xj, yj, zj) = rk, rj
+    return [2.0 * (dj * xk - dk * xj), 2.0 * (dj * yk - dk * yj), 2.0 * (dj * zk - dk * zj),
+            -dk * dj * (dk - dj) + dj * sk - dk * sj]
+
+
+def _build(r, sq, d, switch: float, pairings):
     """The system of one pairing set on Python floats (``r`` and ``sq`` are
     the referenced rows and their squared norms): ``(rows, scaled)``, the
     three augmented rows ``[matrix | rhs]`` as lists and which of them use
-    the cleared form. None if a pairing has two vanishing range differences
-    and so carries no position information.
-
-    ``row_form`` ``"auto"`` picks the form per row from the range-difference
-    magnitudes against ``switch``; ``"literal"`` or ``"cleared"`` forces one
-    of the two algebraically identical forms on every row (a test hook, for
-    comparing them).
-
-    Raises:
-        DegenerateDeltasError: forced literal rows divide by a range
-            difference that is zero.
-    """
+    the cleared form, which a row takes when either of its range differences
+    is below ``switch`` in magnitude. None if a pairing has two such range
+    differences and so carries no position information."""
     rows = []
     scaled = []
     for k, j in pairings:
         dk = d[k - 1]
         dj = d[j - 1]
-        xk, yk, zk = r[k]
-        xj, yj, zj = r[j]
-        if row_form == "auto":
-            ak, aj = abs(dk), abs(dj)
-            if ak < switch and aj < switch:
-                return None
-            use_literal = ak >= switch and aj >= switch
-        else:
-            use_literal = row_form == "literal"
-            if use_literal and dj == 0.0:
-                raise DegenerateDeltasError(
-                    f"the literal row of pairing {(k, j)} divides by a zero range difference"
-                )
-        if use_literal:
-            ratio = dk / dj
-            rows.append([2.0 * (xk - ratio * xj), 2.0 * (yk - ratio * yj), 2.0 * (zk - ratio * zj),
-                         -(dk * dk - ratio * dj * dj) + (sq[k] - ratio * sq[j])])
-        else:
-            rows.append([2.0 * (dj * xk - dk * xj), 2.0 * (dj * yk - dk * yj),
-                         2.0 * (dj * zk - dk * zj),
-                         -dk * dj * (dk - dj) + dj * sq[k] - dk * sq[j]])
-        scaled.append(not use_literal)
+        ak, aj = abs(dk), abs(dj)
+        if ak < switch and aj < switch:
+            return None
+        literal = ak >= switch and aj >= switch
+        rows.append((_literal_row if literal else _cleared_row)(r[k], r[j], sq[k], sq[j], dk, dj))
+        scaled.append(not literal)
     return rows, (scaled[0], scaled[1], scaled[2])
 
 
@@ -124,7 +117,7 @@ def solve_five_sensor(sensors: SensorArray, deltas) -> LocalizationResult:
     switch = EPS_DELTA * baseline
     singular_err = None
     for attempt, pairings in enumerate(PAIRING_FALLBACKS):
-        built = _build(rel, sq, d, switch, pairings, "auto")
+        built = _build(rel, sq, d, switch, pairings)
         if built is None:
             continue
         rows, scaled = built

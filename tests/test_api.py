@@ -258,6 +258,22 @@ def test_one_builder_skips_a_constructor():
     assert owners == ["measurement._checked"]
 
 
+def test_batch_runs_the_solvers_rules():
+    # The sweep batch calls the solvers' straight-line helpers on columns and
+    # defines only its squared norms, its pivoted elimination, its masks and
+    # its entry point. A new function there would be a second copy of a
+    # scalar rule, which the batch must not keep in step by hand.
+    tree = ast.parse((Path(tdoaloc.__file__).parent / "_batch.py").read_text())
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert defined == {"_sq_norm3", "_eliminate", "_solve3", "_rel_error", "_four_sensor",
+                       "_five_sensor", "solve_scale"}
+    assert not any(isinstance(node, (ast.Lambda, ast.AsyncFunctionDef)) for node in ast.walk(tree))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert {"_dot", "_line_rows", "_coefficients", "_point", "_residual",
+            "_literal_row"} <= imported
+
+
 def test_no_dot_goes_through_blas():
     # Every dot product is a written-out sum, (x0*y0 + x1*y1) + x2*y2, on
     # Python floats or on columns, so no output depends on how the BLAS

@@ -20,7 +20,6 @@ from tdoaloc import (
     range_differences,
     sample_scenario,
 )
-from tdoaloc._batch import _col_dot
 from tdoaloc.measurement import _dot
 from tdoaloc.cli import EXIT_DEGENERATE, EXIT_NO_REAL_SOLUTION, EXIT_PARSE_ERROR, main
 
@@ -120,16 +119,14 @@ def _fma(a, b, c):
 @pytest.mark.parametrize("x, y", FMA_DOT_CASES)
 def test_dot_rounds_as_the_golden_digests_assume(x, y):
     # LOCATE_DIGEST and the sweep digests assume every dot is the plain sum
-    # (x0*y0 + x1*y1) + x2*y2, each operation rounded on its own, in the
-    # scalar path and on batch columns alike; an FMA chain (as BLAS ddot
+    # (x0*y0 + x1*y1) + x2*y2, each operation rounded on its own; the scalar
+    # path and the batch call the one _dot. An FMA chain (as BLAS ddot
     # rounds) would give other bits on these cases.
     fma_chain = _fma(x[2], y[2], _fma(x[1], y[1], x[0] * y[0]))
     p0, p1, p2 = (float(Fraction(a) * Fraction(b)) for a, b in zip(x, y))
     plain = float(Fraction(float(Fraction(p0) + Fraction(p1))) + Fraction(p2))
     assert plain != fma_chain
     assert _dot(x, y) == plain
-    columns = _col_dot(np.array([x, x]).T, np.array([y, y]).T)
-    assert columns.tolist() == [plain, plain]
 
 
 def test_locate_directory_parse_error(tmp_path):
@@ -196,6 +193,9 @@ def test_locate_unreadable_document_parse_error(tmp_path, capsys, text):
 EDGE_DOC = '{"sensors": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], "deltas": [0.1, 0.2, 0.3]}'
 PARSE = "cannot parse scenario document: "
 DEEP = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
+# No message of a rejected document is longer: one quotes at most 40
+# characters of the document, however deep or long the value it quotes.
+MESSAGE_CHARS = 128
 
 
 # Document texts at the edges of JSON: each is accepted (None), or rejected
@@ -238,6 +238,12 @@ DEEP = "maximum recursion depth exceeded while decoding a JSON array from a unic
                      id="truncated"),
         pytest.param(DEEP_SENSORS, PARSE + DEEP, id="deep_sensors"),
         pytest.param(DEEP_BARE, PARSE + DEEP, id="deep_bare"),
+        pytest.param(EDGE_DOC.replace("0.2", "[" * 900 + "0.2" + "]" * 900),
+                     "'deltas' must hold numbers, got " + "[" * 37 + "...", id="deep_value"),
+        pytest.param(EDGE_DOC.replace("0.2", '"' + "x" * 5000 + '"'),
+                     "'deltas' must hold numbers, got \"" + "x" * 36 + "...", id="long_string"),
+        pytest.param(EDGE_DOC.replace('"deltas"', '"' + "x" * 5000 + '": 0, "deltas"'),
+                     "unknown scenario keys: ['" + "x" * 35 + "...", id="long_key"),
     ],
 )
 def test_document_text_edges(tmp_path, text, message):
@@ -249,14 +255,16 @@ def test_document_text_edges(tmp_path, text, message):
     with pytest.raises(ScenarioFormatError) as err:
         load_scenario(path)
     assert str(err.value) == message
+    assert len(message) <= MESSAGE_CHARS
 
 
 def test_nesting_at_every_depth_is_a_format_error(tmp_path):
     # Up to past the recursion limit, wherever the decoder stops: a value
     # nested just below it passes the decoder, and the error message that
-    # prints it must not overflow the stack.
+    # prints it must neither overflow the stack nor print the whole value.
     path = tmp_path / "scenario.json"
     for depth in range(1, 1100):
         path.write_text(EDGE_DOC.replace("0.2", "[" * depth + "0.2" + "]" * depth))
-        with pytest.raises(ScenarioFormatError):
+        with pytest.raises(ScenarioFormatError) as err:
             load_scenario(path)
+        assert len(str(err.value)) <= MESSAGE_CHARS, depth

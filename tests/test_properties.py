@@ -3,7 +3,8 @@
 The batch kernel (``_batch``) must give, on every row it calls generic,
 what ``sample_scenario`` and ``run_instance`` give, bit for bit; its 3x3
 elimination must match ``geom3.solve3_pivoted`` on any input, down to which
-systems fail the rank test. The examples lean on the edges where the two
+systems fail the rank test; and each solver helper it calls on columns must
+give them, row by row, what it gives Python floats. The examples lean on the edges where the two
 paths could part: tied pivots, zero factors, non-finite entries, extreme
 magnitudes, and rows just either side of each test that makes a row generic.
 
@@ -55,10 +56,17 @@ from tdoaloc import (  # noqa: E402
     run_instance,
     sample_scenario,
 )
-from tdoaloc._batch import _solve3, solve_scale  # noqa: E402
+from tdoaloc._batch import _five_sensor, _solve3, solve_scale  # noqa: E402
 from tdoaloc.geom3 import solve3_pivoted  # noqa: E402
-from tdoaloc.measurement import EPS_SEP, _frame  # noqa: E402
-from tdoaloc.solver5 import EPS_DELTA, PAIRING_FALLBACKS, _build  # noqa: E402
+from tdoaloc.measurement import EPS_SEP, _dot, _frame  # noqa: E402
+from tdoaloc.solver4 import _coefficients, _line_rows, _point, _residual  # noqa: E402
+from tdoaloc.solver5 import (  # noqa: E402
+    EPS_DELTA,
+    PAIRING_FALLBACKS,
+    _build,
+    _cleared_row,
+    _literal_row,
+)
 
 THRESHOLDS = (1e-6, 1e-3)
 
@@ -173,6 +181,80 @@ def test_generic_rows_equal_scalar_path_bit_for_bit(n_sensors, data):
         assert _bits(losing[k]) == _bits(_scalar_losing(scenario, result.estimate)), rows[k]
 
 
+# Finite inputs at the edges of the float range: signed zeros, subnormals
+# and huge values, whose products overflow to inf and whose sums of inf can
+# be NaN.
+_EDGE = st.one_of(
+    _PLAIN,
+    st.sampled_from([0.0, -0.0, math.ulp(0.0), -math.ulp(0.0), 2.2e-308, -1e-310, 1e300, -1e300,
+                     1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# Each rule that the scalar solvers and the batch share, with the shape of
+# each argument: () a float, (3,) a 3-vector, (4, 3) the referenced rows.
+_SHARED = {
+    "dot": (_dot, [(3,), (3,)]),
+    "line_rows": (_line_rows, [(4, 3), (4,), (3,)]),
+    "coefficients": (_coefficients, [(3,), (3,)]),
+    "point": (_point, [(), (3,), (3,), (3,)]),
+    "residual": (_residual, [(3,), (4, 3), (3,), (3,)]),
+    "literal_row": (_literal_row, [(3,), (3,), (), (), (), ()]),
+    "cleared_row": (_cleared_row, [(3,), (3,), (), (), (), ()]),
+}
+
+
+@pytest.mark.parametrize("name", list(_SHARED))
+@settings(max_examples=30)
+@given(data=st.data())
+def test_shared_helpers_give_columns_what_they_give_floats(name, data):
+    # The batch calls these helpers on (N,) columns where the solvers call
+    # them on Python floats: row by row, the results must agree bit for bit.
+    helper, shapes = _SHARED[name]
+    n = data.draw(st.integers(1, 4))
+    if data.draw(st.booleans()):
+        # Values of one magnitude with every mantissa bit in use, where the
+        # order of a sum shows in its rounding.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        args = [rng.uniform(-4.0, 4.0, (n, *shape)) for shape in shapes]
+    else:
+        args = [np.array(data.draw(st.lists(_EDGE, min_size=n * math.prod(shape),
+                                            max_size=n * math.prod(shape)))).reshape(n, *shape)
+                for shape in shapes]
+    # Only the residual takes a square root: math.sqrt on floats, np.sqrt on columns.
+    sqrts = ([math.sqrt], [np.sqrt]) if name == "residual" else ([], [])
+    with np.errstate(all="ignore"):
+        columns = np.array(helper(*[np.moveaxis(a, 0, -1) for a in args], *sqrts[1]))
+    for row in range(n):
+        try:
+            floats = helper(*[a[row].tolist() for a in args], *sqrts[0])
+        except ZeroDivisionError:
+            # The one place where the two differ: a float division by zero
+            # raises, while a column division gives inf or NaN. Only the
+            # literal row divides, by dj, and its right-hand side is then NaN
+            # (inf or NaN times dj * dj = 0). The batch leaves every such row
+            # to the scalar path (test_zero_range_differences_are_never_generic).
+            assert name == "literal_row" and args[5][row] == 0.0
+            assert math.isnan(columns[3][row])
+            continue
+        assert _bits(columns[..., row]) == _bits(floats), [a[row].tolist() for a in args]
+
+
+@settings(max_examples=30)
+@given(data=st.data())
+def test_zero_range_differences_are_never_generic(data):
+    # A zero range difference would make the literal row divide by zero, so
+    # no five-sensor row holding one is generic, whatever else it holds.
+    n = data.draw(st.integers(1, 4))
+    rel = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).random((5, 3, n)) - 0.5
+    d = np.array(data.draw(st.lists(_EDGE, min_size=4 * n, max_size=4 * n))).reshape(4, n)
+    zeroed = data.draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, n - 1)), min_size=1))
+    for i, row in zeroed:
+        d[i, row] = data.draw(st.sampled_from([0.0, -0.0]))
+    with np.errstate(all="ignore"):
+        generic = _five_sensor(rel, _dot(rel.swapaxes(0, 1), rel.swapaxes(0, 1)), rel[0], d)[0]
+    assert not generic[(d == 0.0).any(axis=0)].any()
+
+
 @given(data=st.data())
 def test_reference_frame_squares_sum_as_einsum(data):
     # Coordinates from 1e-300 to 1e300, of one magnitude (where the order of
@@ -233,7 +315,7 @@ def _first_singular_pairings(sensors, deltas):
     rel, _, sq, baseline = _frame(sensors.positions.tolist())
     d = deltas.tolist()
     for pairings in PAIRING_FALLBACKS:
-        built = _build(rel, sq, d, EPS_DELTA * baseline, pairings, "auto")
+        built = _build(rel, sq, d, EPS_DELTA * baseline, pairings)
         if built is not None:
             try:
                 solve3_pivoted(built[0])

@@ -14,7 +14,14 @@ from tdoaloc import (
     solve_five_sensor,
 )
 from tdoaloc.measurement import _frame, as_range_differences
-from tdoaloc.solver5 import DEFAULT_PAIRINGS, EPS_DELTA, PAIRING_FALLBACKS, _build
+from tdoaloc.solver5 import (
+    DEFAULT_PAIRINGS,
+    EPS_DELTA,
+    PAIRING_FALLBACKS,
+    _build,
+    _cleared_row,
+    _literal_row,
+)
 
 CANONICAL_SENSORS = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
 CANONICAL_SOURCE = np.array([2.0, 3.0, 4.0])
@@ -26,15 +33,22 @@ def _canonical():
     return arr, range_differences(sc)
 
 
-def _system(sensors, deltas, row_form="auto", pairings=DEFAULT_PAIRINGS):
-    """The matrix, right-hand side and cleared-row flags of one pairing set,
-    as the solver builds them; None where a pairing carries no information."""
+def _system(sensors, deltas, form=None, pairings=DEFAULT_PAIRINGS):
+    """The matrix, right-hand side and cleared-row flags of one pairing set:
+    as the solver builds them (``form`` None; None where a pairing carries
+    no information), or with every row in the ``"literal"`` or
+    ``"cleared"`` form."""
     rel, _, sq, baseline = _frame(sensors.positions.tolist())
     d = as_range_differences(deltas).deltas.tolist()
-    built = _build(rel, sq, d, EPS_DELTA * baseline, pairings, row_form)
-    if built is None:
-        return None
-    rows, scaled = built
+    if form is None:
+        built = _build(rel, sq, d, EPS_DELTA * baseline, pairings)
+        if built is None:
+            return None
+        rows, scaled = built
+    else:
+        row = _literal_row if form == "literal" else _cleared_row
+        rows = [row(rel[k], rel[j], sq[k], sq[j], d[k - 1], d[j - 1]) for k, j in pairings]
+        scaled = (form == "cleared",) * 3
     system = np.array(rows)
     return system[:, :3], system[:, 3], scaled
 
@@ -125,13 +139,16 @@ def test_zero_delta_row_uses_cleared_form():
 
 
 @pytest.mark.parametrize("deltas", [[0.1, 0.0, 0.2, 0.3], [0.0, 0.1, 0.2, 0.3], [0.1, 0.2, -0.0, 0.3]])
-def test_literal_rows_reject_a_zero_divisor(deltas):
-    # The literal form divides by the pairing's second range difference;
-    # forced where that is zero it is a typed error, not ZeroDivisionError.
+def test_build_clears_exactly_the_rows_of_a_zero_delta(deltas):
+    # The literal form divides by the pairing's second range difference, so
+    # each row whose pairing touches a zero range difference, and only that
+    # row, takes the cleared form: the system stays finite.
     arr = SensorArray(CANONICAL_SENSORS)
-    with pytest.raises(DegenerateDeltasError, match="divides by a zero range difference"):
-        _system(arr, deltas, "literal")
-    assert _system(arr, deltas, "cleared")[2] == (True,) * 3
+    matrix, rhs, scaled = _system(arr, deltas)
+    assert scaled == tuple(deltas[k - 1] == 0.0 or deltas[j - 1] == 0.0
+                           for k, j in DEFAULT_PAIRINGS)
+    assert any(scaled) and not all(scaled)
+    assert np.all(np.isfinite(matrix)) and np.all(np.isfinite(rhs))
 
 
 def test_pairing_fallback_on_double_zero_deltas():
