@@ -44,7 +44,7 @@ print("  discriminant:  ", round(diag4["discriminant"], 6),
       " linear fallback:", diag4["linear_fallback"])
 print("retained nonnegative roots:", [c.reference_range for c in result4.candidates],
       " (true source-to-reference range:", np.linalg.norm(source), ")")
-print("estimate:", result4.position, " resolved by:", result4.ambiguity_resolved_by.value,
+print("estimate:", result4.position, " candidates:", len(result4.candidates),
       " ambiguous:", result4.ambiguous)
 for i, cand in enumerate(result4.candidates):
     print(f"  candidate {i}: range={cand.reference_range:.6f}"

@@ -39,7 +39,7 @@ from .montecarlo import (
     run_sweep,
     sample_scenario,
 )
-from .result import AmbiguityResolution, LocalizationResult, Method
+from .result import LocalizationResult, Method
 from .solver4 import solve_four_sensor
 from .solver5 import solve_five_sensor
 
@@ -49,7 +49,6 @@ from . import cli  # noqa: F401
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguityResolution",
     "DEFAULT_SCALE_GRID",
     "DegenerateDeltasError",
     "DegenerateLinearError",

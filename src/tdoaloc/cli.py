@@ -69,7 +69,6 @@ def _fmt_vec(v) -> str:
 def _print_report(result: LocalizationResult, out) -> None:
     print(f"method: {result.method.value}", file=out)
     print(f"position_m: {_fmt_vec(result.position)}", file=out)
-    print(f"ambiguity_resolved_by: {result.ambiguity_resolved_by.value}", file=out)
     if result.ambiguous:
         print("ambiguous: two exact solutions, see candidates", file=out)
     for i, cand in enumerate(result.candidates):
@@ -194,8 +193,9 @@ def _parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--sensors", type=int, choices=(4, 5), default=5)
     p_sweep.add_argument("--instances", type=int, default=1000, help="instances per scale")
     p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--scales", default=None, help="comma-separated source scales")
-    p_sweep.add_argument(
+    scales = p_sweep.add_mutually_exclusive_group()
+    scales.add_argument("--scales", default=None, help="comma-separated source scales")
+    scales.add_argument(
         "--scale-range", default=None,
         help="lo,hi,count log-spaced source scales (default: 1e-6,1,13)",
     )

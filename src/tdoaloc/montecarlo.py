@@ -81,6 +81,23 @@ def _outcomes(rel_error, losing, thresholds) -> np.ndarray:
     return np.where(rel_error < t, 0, np.where(losing < t, 2, 3))
 
 
+def _positive_floats(name: str, values) -> tuple[float, ...]:
+    """``values`` as a non-empty tuple of finite, positive floats, or
+    InvalidConfigError: the rule for a config's thresholds and scales."""
+    try:
+        # float() would read "1e-3", b"1" and True as numbers. A str's items
+        # are strs; a bytes object, whose items are ints, is one item.
+        items = (values,) if isinstance(values, (bytes, bytearray)) else tuple(values)
+        if any(isinstance(v, (str, bytes, bytearray, bool, np.bool_)) for v in items):
+            raise TypeError(f"got {values!r}")
+        floats = tuple(float(v) for v in items)
+    except (TypeError, ValueError) as err:
+        raise InvalidConfigError(f"{name} must be a sequence of numbers: {err}") from None
+    if not floats or not all(0.0 < v < math.inf for v in floats):
+        raise InvalidConfigError(f"{name} must be finite and positive, got {floats}")
+    return floats
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Sweep parameters; validated on construction."""
@@ -93,16 +110,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("thresholds", "scale_grid"):
-            try:
-                # float() would read "1e-3", b"1" and True as numbers. A str's
-                # items are strs; a bytes object, whose items are ints, is one item.
-                values = getattr(self, name)
-                items = (values,) if isinstance(values, (bytes, bytearray)) else tuple(values)
-                if any(isinstance(v, (str, bytes, bytearray, bool, np.bool_)) for v in items):
-                    raise TypeError(f"got {values!r}")
-                object.__setattr__(self, name, tuple(float(v) for v in items))
-            except (TypeError, ValueError) as err:
-                raise InvalidConfigError(f"{name} must be a sequence of numbers: {err}") from None
+            object.__setattr__(self, name, _positive_floats(name, getattr(self, name)))
         for name in ("n_sensors", "n_instances", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -116,16 +124,10 @@ class ExperimentConfig:
             )
         if self.seed < 0:
             raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
-        if not self.thresholds or not all(0.0 < t < math.inf for t in self.thresholds):
+        if len(self.scale_grid) > MAX_SCALES:
             raise InvalidConfigError(
-                f"thresholds must be finite and positive, got {self.thresholds}"
+                f"scale grid must hold at most {MAX_SCALES} scales, got {len(self.scale_grid)}"
             )
-        if not 1 <= len(self.scale_grid) <= MAX_SCALES:
-            raise InvalidConfigError(
-                f"scale grid must hold 1 to {MAX_SCALES} scales, got {len(self.scale_grid)}"
-            )
-        if not all(0.0 < s < math.inf for s in self.scale_grid):
-            raise InvalidConfigError(f"scales must be finite and positive, got {self.scale_grid}")
 
 
 @dataclass(frozen=True)
@@ -204,9 +206,10 @@ def run_instance(scenario: Scenario, thresholds) -> InstanceResult:
     A failure at threshold T is a wrong root when a candidate other than the
     estimate lies within T of truth, and a numerical error otherwise. A
     forward model that overflows (a source too far out for finite range
-    differences) is a numerical error at every threshold.
+    differences) is a numerical error at every threshold. Thresholds that
+    :class:`ExperimentConfig` rejects raise its ``InvalidConfigError``.
     """
-    thresholds = tuple(float(t) for t in thresholds)
+    thresholds = _positive_floats("thresholds", thresholds)
     try:
         estimate = localize(scenario.sensors, range_differences(scenario))
     except (LocalizationError, ValueError) as err:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -11,12 +11,6 @@ import numpy as np
 class Method(Enum):
     FIVE_SENSOR = "five_sensor"
     FOUR_SENSOR = "four_sensor"
-
-
-class AmbiguityResolution(Enum):
-    RESIDUAL = "residual"  # two candidates: smaller range if ambiguous, else least residual
-    SINGLE_ROOT = "single_root"    # only one nonnegative root, one candidate
-    NOT_APPLICABLE = "not_applicable"  # five-sensor solve, no ambiguity arises
 
 
 @dataclass(frozen=True)
@@ -39,12 +33,15 @@ class LocalizationResult:
     by two positions and ``position`` is the one with the smaller reference
     range. Only four-sensor solves fill ``candidates``; there ``position`` is
     the chosen candidate's array itself. Every position array is read-only.
+
+    How the position was picked follows from ``method`` and ``candidates``: a
+    five-sensor solve has no ambiguity to resolve, two four-sensor candidates
+    are told apart by residual unless ``ambiguous``, and one is the only root.
     """
 
     position: np.ndarray  # absolute, m
     method: Method
     candidates: tuple[Candidate, ...]
-    ambiguity_resolved_by: AmbiguityResolution
-    ambiguous: bool = False
-    diagnostics: dict = field(default_factory=dict)
+    ambiguous: bool
+    diagnostics: dict
 

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DegenerateLinearError, NoCandidatesError, NoRealSolutionError
 from .geom3 import solve3_pivoted
 from .measurement import SensorArray, _frame, _readonly, as_range_differences, as_sensor_array
-from .result import AmbiguityResolution, Candidate, LocalizationResult, Method
+from .result import Candidate, LocalizationResult, Method
 
 # Tolerances separating analytic degeneracy from round-off. EPS_LIN detects a
 # vanishing quadratic leading coefficient; EPS_DISC clamps a barely negative
@@ -174,17 +174,16 @@ def _resolve(candidates, rel, origin, d, baseline: float, diagnostics: dict) -> 
     for rho, pos, floats in candidates:
         scored.append(Candidate(float(rho), pos, _residual(floats, rel, origin, d, math.sqrt)))
 
-    best, ambiguous, resolved = 0, False, AmbiguityResolution.SINGLE_ROOT
+    best, ambiguous = 0, False
     if len(scored) == 2:
-        resolved = AmbiguityResolution.RESIDUAL
         r0, r1 = scored[0].residual, scored[1].residual
         # The smaller rho + d_i against the admissibility slack below zero. Two
         # exact solutions, or a residual tie, keep the first (smaller-rho) one.
         ambiguous = scored[0].reference_range + min(d) >= -EPS_RHO_REL * baseline
         tie = abs(r0 - r1) <= EPS_TIE * max(abs(r0), abs(r1))
         best = 1 if r1 < r0 and not (ambiguous or tie) else 0
-    return LocalizationResult(scored[best].position, Method.FOUR_SENSOR, tuple(scored), resolved,
-                              ambiguous, diagnostics)
+    return LocalizationResult(scored[best].position, Method.FOUR_SENSOR, tuple(scored), ambiguous,
+                              diagnostics)
 
 
 def solve_four_sensor(sensors: SensorArray, deltas) -> LocalizationResult:

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DegenerateDeltasError, NoRealSolutionError, SingularMatrixError
 from .geom3 import solve3_pivoted
 from .measurement import SensorArray, _frame, _readonly, as_range_differences, as_sensor_array
-from .result import AmbiguityResolution, LocalizationResult, Method
+from .result import LocalizationResult, Method
 
 # Relative (to the longest reference baseline) range-difference magnitude
 # below which a row switches to the delta-cleared form. The literal row form
@@ -134,14 +134,13 @@ def solve_five_sensor(sensors: SensorArray, deltas) -> LocalizationResult:
             raise NoRealSolutionError(
                 "range differences too large for the array: no finite position"
             )
-        return LocalizationResult(_readonly(np.array([x, y, z])), Method.FIVE_SENSOR, (),
-                                  AmbiguityResolution.NOT_APPLICABLE, False, {
-                                      "pivots": pivots,
-                                      "pivot_ratio": min(pivots) / max(pivots),
-                                      "pairings": pairings,
-                                      "scaled_rows": scaled,
-                                      "pairing_retries": attempt,
-                                  })
+        return LocalizationResult(_readonly(np.array([x, y, z])), Method.FIVE_SENSOR, (), False, {
+            "pivots": pivots,
+            "pivot_ratio": min(pivots) / max(pivots),
+            "pairings": pairings,
+            "scaled_rows": scaled,
+            "pairing_retries": attempt,
+        })
     if singular_err is None:  # every pairing set was degenerate
         raise DegenerateDeltasError(_ALL_DEGENERATE)
     raise SingularMatrixError(

@@ -1,6 +1,7 @@
 """The package root's public names, and what its callers reach through it."""
 
 import ast
+import dataclasses
 import inspect
 import os
 import re
@@ -27,7 +28,6 @@ ROOT_NAMES = {
     "ScenarioFormatError",
     "SingularMatrixError",
     # results
-    "AmbiguityResolution",
     "FailureCause",
     "LocalizationResult",
     "Method",
@@ -56,9 +56,20 @@ ROOT_NAMES = {
 
 
 def test_all_is_the_agreed_names():
-    assert len(ROOT_NAMES) == 31
+    assert len(ROOT_NAMES) == 30
     assert len(tdoaloc.__all__) == len(set(tdoaloc.__all__))
     assert set(tdoaloc.__all__) == ROOT_NAMES
+
+
+def test_result_record_holds_only_what_the_solvers_give():
+    # Nothing derivable is stored: how the position was picked follows from
+    # method and candidates. Every field is given by both solvers.
+    fields = dataclasses.fields(tdoaloc.LocalizationResult)
+    assert [f.name for f in fields] == [
+        "position", "method", "candidates", "ambiguous", "diagnostics",
+    ]
+    assert all(f.default is dataclasses.MISSING for f in fields)
+    assert all(f.default_factory is dataclasses.MISSING for f in fields)
 
 
 def test_every_listed_name_resolves():

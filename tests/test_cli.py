@@ -260,6 +260,14 @@ def test_sweep_scale_range_flag(tmp_path):
     assert records == [{col: getattr(c, col) for col in CSV_COLUMNS} for c in direct.cells]
 
 
+def test_scales_and_scale_range_conflict(capsys):
+    # Two grids given at once are a usage error, not one silently dropped.
+    assert main(["sweep", "--scales", "1", "--scale-range", "1e-3,1,3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
+
+
 def test_sweep_invalid_configs(capsys):
     assert main(["sweep", "--instances", "0"]) == EXIT_INVALID_CONFIG
     capsys.readouterr()

@@ -9,6 +9,7 @@ import pytest
 
 from tdoaloc import (
     LocalizationError,
+    Method,
     NoCandidatesError,
     NoRealSolutionError,
     ScenarioFormatError,
@@ -68,9 +69,14 @@ def _outcome(doc_path) -> bytes:
         result = localize(doc.sensors, document_deltas(doc))
     except LocalizationError as err:
         return f"{type(err).__name__}: {err}\n".encode()
+    # How the position was picked, as method and candidate count give it.
+    if result.method is Method.FIVE_SENSOR:
+        resolved = "not_applicable"
+    else:
+        resolved = "residual" if len(result.candidates) == 2 else "single_root"
     parts = [
         result.position.tobytes(),
-        f"{result.method.value} {result.ambiguity_resolved_by.value} "
+        f"{result.method.value} {resolved} "
         f"{result.ambiguous} {result.diagnostics!r}".encode(),
     ]
     for cand in result.candidates:

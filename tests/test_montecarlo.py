@@ -135,6 +135,20 @@ def test_run_instance_canonical_success():
     assert res.rel_error < 1e-9
 
 
+@pytest.mark.parametrize(
+    "thresholds", [(-1.0,), (np.nan,), (0.0,), ("1e-3",), (True,), "1e-3"], ids=repr
+)
+def test_run_instance_rejects_what_the_config_rejects(thresholds):
+    # The rule is ExperimentConfig's: an exact five-sensor solve scored
+    # against a threshold the config rejects is a config error, not a failure.
+    arr = SensorArray([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+    sc = Scenario(sensors=arr, source=(2.0, 3.0, 4.0))
+    with pytest.raises(InvalidConfigError):
+        ExperimentConfig(thresholds=thresholds)
+    with pytest.raises(InvalidConfigError):
+        run_instance(sc, thresholds)
+
+
 def test_run_instance_singular_geometry():
     arr = SensorArray([(0, 0, 0), (1, 2, 3), (2, 4, 6), (3, 6, 9), (4, 8, 12)])
     sc = Scenario(sensors=arr, source=(0.4, 0.1, 0.3))

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from tdoaloc import (
-    AmbiguityResolution,
     DegenerateLinearError,
     Method,
     NoCandidatesError,
@@ -144,7 +143,6 @@ def test_canonical_solve_recovers_source():
     result = solve_four_sensor(arr, d)
     assert np.linalg.norm(result.position - CANONICAL_SOURCE) < 1e-9 * SQRT29
     assert result.method is Method.FOUR_SENSOR
-    assert result.ambiguity_resolved_by is AmbiguityResolution.SINGLE_ROOT
     assert len(result.candidates) == 1
     assert not result.ambiguous
     assert result.candidates[0].reference_range == pytest.approx(SQRT29, rel=1e-12)
@@ -155,8 +153,7 @@ def test_two_root_truth_selected():
     arr = SensorArray(sensors)
     src = np.array(source)
     result = solve_four_sensor(arr, range_differences(Scenario(sensors=arr, source=src)))
-    assert len(result.candidates) == 2
-    assert result.ambiguity_resolved_by is AmbiguityResolution.RESIDUAL
+    assert result.method is Method.FOUR_SENSOR and len(result.candidates) == 2
     assert np.linalg.norm(result.position - src) < 1e-9
     # both candidates are exact solutions of the measurement set
     assert all(c.residual < 1e-20 for c in result.candidates)
@@ -284,7 +281,7 @@ def test_residual_tie_keeps_first_and_flags():
     d = RangeDifferences(ranges[1:] - ranges[0])
     result = _score([(rho, truth), (rho, mirror)], arr, d)
     assert result.ambiguous
-    assert result.ambiguity_resolved_by is AmbiguityResolution.RESIDUAL
+    assert result.method is Method.FOUR_SENSOR and len(result.candidates) == 2
     np.testing.assert_array_equal(result.position, truth)
     assert result.candidates[0].residual == result.candidates[1].residual
 
@@ -298,7 +295,7 @@ def test_inadmissible_second_candidate_not_flagged():
     assert 0.1 + float(np.min(d.deltas)) < 0.0
     result = _score([(0.1, bad), (SQRT29, CANONICAL_SOURCE)], arr, d)
     assert not result.ambiguous
-    assert result.ambiguity_resolved_by is AmbiguityResolution.RESIDUAL
+    assert result.method is Method.FOUR_SENSOR
     assert len(result.candidates) == 2
     np.testing.assert_array_equal(result.position, CANONICAL_SOURCE)
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from tdoaloc import (
-    AmbiguityResolution,
     DegenerateDeltasError,
     Method,
     Scenario,
@@ -94,7 +93,6 @@ def test_canonical_solve_recovers_source():
     assert err < 1e-9 * np.linalg.norm(CANONICAL_SOURCE)
     assert result.method is Method.FIVE_SENSOR
     assert result.candidates == ()
-    assert result.ambiguity_resolved_by is AmbiguityResolution.NOT_APPLICABLE
     assert not result.ambiguous
     assert len(result.diagnostics["pivots"]) == 3
 

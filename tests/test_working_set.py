@@ -22,10 +22,11 @@ from tdoaloc.result import Candidate
 from tdoaloc._streams import uniforms
 from tdoaloc.montecarlo import BATCH_ROWS
 
-# Peak bytes per row of one four-sensor batch of 1024 rows, as measured with
-# numpy 2.4 and rounded up to 10 B (the arrays are float64 and uint64, so the
-# count varies little across platforms). A rise means a kernel step holds
-# more temporaries; the earlier (N, 3, 3) kernel read 1480 and 1231.
+# Peak bytes per row of one four- or five-sensor batch of 1024 rows, as
+# measured with numpy 2.4 and rounded up to 10 B (the arrays are float64 and
+# uint64, so the count varies little across platforms). A rise means a kernel
+# step holds more temporaries; the earlier (N, 3, 3) kernel read 1480 and 1231.
+# Five sensors peak at 905, four at 735.
 UNIFORMS_BYTES_PER_ROW = 780
 SOLVE_BYTES_PER_ROW = 910
 
@@ -63,6 +64,8 @@ def test_batch_peak_bytes_per_row():
     draws = uniforms(11, 0, 0, n, 15)
     assert _peak_bytes(uniforms, 11, 0, 0, n, 15) <= UNIFORMS_BYTES_PER_ROW * n
     assert _peak_bytes(solve_scale, draws, 4, 1e-3) <= SOLVE_BYTES_PER_ROW * n
+    draws = uniforms(11, 0, 0, n, 18)
+    assert _peak_bytes(solve_scale, draws, 5, 1e-3) <= SOLVE_BYTES_PER_ROW * n
 
 
 def _kept_bytes(make, n=2000) -> float:
@@ -110,8 +113,7 @@ def test_solver_results_keep_no_more_than_constructed_records(n_sensors):
         ])
         return result_cls(
             position=r.position, method=r.method, candidates=candidates,
-            ambiguity_resolved_by=r.ambiguity_resolved_by, ambiguous=r.ambiguous,
-            diagnostics=r.diagnostics,
+            ambiguous=r.ambiguous, diagnostics=r.diagnostics,
         )
 
     assert len(localize(sensors, deltas).candidates) == (2 if n_sensors == 4 else 0)
