@@ -4,14 +4,15 @@
 ``SeedSequence(seed, spawn_key=(si, ii))``: a PCG64 generator seeded by
 O'Neill's ``seed_seq_fe`` hash. Building one such object per instance costs
 more than solving the instance, so :func:`uniforms` computes the same
-doubles for a range of instance indices with array arithmetic, bit for bit:
+doubles for a batch of instances of any scales with array arithmetic, bit
+for bit:
 
 - ``SeedSequence`` mixes its entropy words (the seed's 32-bit words,
   zero-padded to 4, then the scale and instance indices) into a pool of
   four 32-bit words, then hashes the pool into four 64-bit state words.
-  Every word but the instance index is shared by a scale's rows, so the
-  pool is mixed up to that word once, on Python ints, and only the last
-  word and the state hash run as ``uint32`` arrays.
+  The seed's words are mixed once per batch and each scale's once per run,
+  on Python ints; only the instance index and the state hash run as
+  ``uint32`` arrays, on which each run's pool and hash constants broadcast.
 - PCG64 (O'Neill 2014, "PCG: A Family of Simple Fast Space-Efficient
   Statistically Good Algorithms") is a 128-bit LCG with XSL-RR output.
   Seeding from state words ``s0..s3`` sets ``inc = (s2:s3 << 1) | 1``,
@@ -41,6 +42,8 @@ _XSHIFT = 16
 _POOL_SIZE = 4
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
+# Most (draw, row) entries per pass of the draw arithmetic: 48 KB per buffer.
+_BLOCK = 6144
 # Largest instance index that is one entropy word, the only kind the row
 # arithmetic below takes.
 MAX_INSTANCE_INDEX = _MASK32
@@ -73,43 +76,39 @@ def _words(n: int) -> list[int]:
     return [n >> shift & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
 
 
-def _pool_before_last_word(seed: int, scale_index: int):
-    """The pool after mixing every entropy word that precedes the instance
-    index, and the hash constants that continue from there."""
+def _mix_in(pool: list[int], words, consts) -> list[int]:
+    """A new pool: ``pool`` with entropy words past the first four mixed in."""
+    for w in words:
+        pool = [_mix(p, _hashmix(w, next(consts))) for p in pool]
+    return pool
+
+
+def _seed_pool(seed: int) -> tuple[list[int], int]:
+    """The pool after the seed's words, and the next hash's first constant."""
     words = _words(seed)
-    words += [0] * (_POOL_SIZE - len(words)) + _words(scale_index)
+    words += [0] * (_POOL_SIZE - len(words))
     consts = _hash_consts(_INIT_A, _MULT_A)
     pool = [_hashmix(w, next(consts)) for w in words[:_POOL_SIZE]]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
                 pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(consts)))
-    for w in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hashmix(w, next(consts)))
-    return pool, consts
+    return _mix_in(pool, words[_POOL_SIZE:], consts), next(consts)[0]
 
 
-def _const_array(values, dtype=np.uint32) -> np.ndarray:
-    """A column of constants, to broadcast against a row of instances."""
-    return np.array(list(values), dtype=dtype)[:, None]
-
-
-def _next_consts(consts, n: int) -> list[np.ndarray]:
-    """The next ``n`` hashes' constant pairs, as two columns."""
-    return [_const_array(c) for c in zip(*islice(consts, n))]
-
-
-# generate_state(4, np.uint64) hashes the pool, cycled, into 8 words.
-_STATE_CONSTS = _next_consts(_hash_consts(_INIT_B, _MULT_B), 2 * _POOL_SIZE)
+# generate_state(4, np.uint64) hashes the pool, cycled, into 8 words, with
+# constants as columns that broadcast against a row of instances.
+_STATE_CONSTS = [
+    np.array(c, np.uint32)[:, None] for c in zip(*islice(_hash_consts(_INIT_B, _MULT_B), 8))
+]
 _STATE_CYCLE = np.arange(2 * _POOL_SIZE) % _POOL_SIZE
 
 
 def _limbs(values) -> tuple[np.ndarray, ...]:
     """128-bit ints as ``uint64`` arrays: high half, low half, and the low
-    half's two 32-bit limbs."""
+    half's two 32-bit limbs, as columns."""
     return tuple(
-        _const_array((v >> shift & mask for v in values), np.uint64)
+        np.array([v >> shift & mask for v in values], np.uint64)[:, None]
         for shift, mask in ((64, _MASK64), (0, _MASK64), (0, _MASK32), (32, _MASK32))
     )
 
@@ -145,37 +144,36 @@ def _mul_add(const, x_hi, x_lo, hi, lo, t0, t1) -> None:
     hi += lo < t0
 
 
-def uniforms(seed: int, scale_index: int, first: int, stop: int, width: int) -> np.ndarray:
-    """The ``(stop - first, width)`` doubles whose row ``k`` is
-    ``instance_rng(seed, scale_index, first + k).random(width)``, bit for bit.
-
-    ``seed`` and ``scale_index`` are non-negative ints of any size; instance
-    indices must not exceed ``MAX_INSTANCE_INDEX``.
-    """
-    if seed < 0 or scale_index < 0 or not 0 <= first <= stop <= MAX_INSTANCE_INDEX + 1:
-        raise ValueError(
-            f"stream indices out of range: seed={seed}, scale_index={scale_index}, "
-            f"instances [{first}, {stop})"
-        )
-    pool, consts = _pool_before_last_word(seed, scale_index)
-    index = np.arange(first, stop, dtype=np.uint32)
-    pool = _mix(_const_array(pool), _hashmix(index, _next_consts(consts, _POOL_SIZE)))
+def _seeds(seed: int, runs) -> tuple[np.ndarray, ...]:
+    """PCG64's seeding halves ``x_hi, x_lo, inc_hi, inc_lo``, ``(N,)``, for ``runs``."""
+    seed_pool, h = _seed_pool(seed)
+    # Per run, on Python ints: the pool after the scale index's words, and
+    # the instance index's four hashes' constant pairs, to broadcast to its rows.
+    table, index = [], []
+    for si, first, stop in runs:
+        if seed < 0 or si < 0 or not 0 <= first <= stop <= MAX_INSTANCE_INDEX + 1:
+            raise ValueError(f"stream indices out of range: seed={seed}, run {(si, first, stop)}")
+        consts = _hash_consts(h, _MULT_A)
+        pool = _mix_in(seed_pool, _words(si), consts)
+        table.append(pool + [c for pair in zip(*islice(consts, _POOL_SIZE)) for c in pair])
+        index.append(np.arange(first, stop, dtype=np.uint32))
+    cols = np.repeat(np.array(table, dtype=np.uint32).T, [len(i) for i in index], axis=1)
+    pool = _mix(cols[:4], _hashmix(np.concatenate(index), (cols[4:8], cols[8:])))
     state = _hashmix(pool[_STATE_CYCLE], _STATE_CONSTS).astype(np.uint64)
     s0, s1, s2, s3 = state[0::2] | state[1::2] << 32
-
     # PCG64 seeding: inc = (s2:s3 << 1) | 1, and after two steps the state
     # is M * x + inc with x = s0:s1 + inc.
     inc_hi = s2 << 1 | s3 >> 63
     inc_lo = s3 << 1 | 1
     x_lo = s1 + inc_lo
-    x_hi = s0 + inc_hi + (x_lo < s1)
-    # The state after each draw, as (W, N) halves, by in-place multiply-adds.
-    hi, lo, t0 = np.zeros((3, width, stop - first), dtype=np.uint64)
-    draws = np.empty((width, stop - first))
-    powers, sums = _jump_consts(width)
-    _mul_add(powers, x_hi, x_lo, hi, lo, t0, draws.view(np.uint64))
-    _mul_add(sums, inc_hi, inc_lo, hi, lo, t0, draws.view(np.uint64))
+    return s0 + inc_hi + (x_lo < s1), x_lo, inc_hi, inc_lo
 
+
+def _draws(out, powers, sums, x_hi, x_lo, inc_hi, inc_lo) -> None:
+    """Fill ``out``, ``(W, N)``: each draw's state by multiply-adds, then XSL-RR."""
+    hi, lo, t0 = np.zeros((3, *out.shape), dtype=np.uint64)
+    _mul_add(powers, x_hi, x_lo, hi, lo, t0, out.view(np.uint64))
+    _mul_add(sums, inc_hi, inc_lo, hi, lo, t0, out.view(np.uint64))
     # XSL-RR: xor the halves, rotate right by the top 6 bits of the state.
     lo ^= hi
     hi >>= 58
@@ -183,6 +181,21 @@ def uniforms(seed: int, scale_index: int, first: int, stop: int, width: int) -> 
     lo <<= np.bitwise_and(np.negative(hi, out=hi), 63, out=hi)
     t0 |= lo
     t0 >>= 11
-    np.multiply(t0, 2.0**-53, out=draws)
-    # One row per instance: the transpose of one row per draw.
+    np.multiply(t0, 2.0**-53, out=out)
+
+
+def uniforms(seed: int, runs, width: int) -> np.ndarray:
+    """A batch's ``(N, width)`` doubles: for each ``(scale_index, first,
+    stop)`` in ``runs``, in turn, the rows ``instance_rng(seed, scale_index,
+    ii).random(width)`` for ``ii`` in ``range(first, stop)``, bit for bit. The
+    seed and scale indices are non-negative ints of any size; instance
+    indices must not exceed ``MAX_INSTANCE_INDEX``."""
+    seeds = _seeds(seed, runs)
+    draws = np.empty((width, len(seeds[0])))
+    powers, sums = _jump_consts(width)
+    # Draws j .. j + step - 1 in one pass: at least one, and at most _BLOCK entries.
+    step = max(_BLOCK // max(draws.shape[1], 1), 1)
+    for j in range(0, width, step):
+        block = slice(j, j + step)
+        _draws(draws[block], [c[block] for c in powers], [c[block] for c in sums], *seeds)
     return draws.T

@@ -6,25 +6,16 @@ runs the matching solver on noise-free forward-modelled range differences and
 is scored by relative position error against one or more thresholds. Failures
 are attributed, per threshold, to singular geometry, a wrong quadratic root
 (the losing candidate is within the threshold of truth), or plain numerical
-error. ``_outcomes`` is that rule, as integer codes for whole batches, which
-a sweep counts with one ``np.bincount`` per threshold.
+error. Each instance is seeded by a splittable hash of (seed, scale index,
+instance index), so a sweep is reproducible bit for bit in any order.
 
-Instances are seeded independently via a splittable hash of
-(seed, scale index, instance index), so sweeps are reproducible bit-for-bit
-regardless of the order in which instances are run.
-
-``run_sweep`` runs each scale in batches of up to ``BATCH_ROWS`` instances.
-The private ``_streams`` module computes a batch's draws, the doubles that
-each instance's ``instance_rng`` generator yields first, as array arithmetic
-without building a generator per instance. The private ``_batch`` module
-samples, solves and scores the batch's instances as one entry each of
-numpy columns, calling the solvers' own helpers on them. Rows it cannot
-prove generic (a rejected draw, a singular pivot, a tangent or clamped root,
-a linear fallback, a cleared row or pairing retry, ...) are rerun one by one
-through ``sample_scenario`` and ``run_instance``, whose codes replace the
-batch's for those rows, so every edge case has one implementation and the
-tallies equal a one-by-one pass bit for bit. The scalar functions stay the
-API for single instances.
+``run_sweep`` runs batches of up to ``BATCH_ROWS`` cells of the flat (scale,
+instance) index, which may span scales. ``_streams`` computes the draws that
+the cells' ``instance_rng`` generators yield first, as array arithmetic, and
+``_batch`` solves and scores each scale's rows as numpy columns with the
+solvers' own helpers. Rows it cannot prove generic (a rejected draw, a
+tangent root, ...) are rerun through ``sample_scenario`` and ``run_instance``,
+so every edge case has one implementation.
 """
 
 from __future__ import annotations
@@ -170,9 +161,7 @@ def instance_rng(seed: int, scale_index: int, instance_index: int) -> np.random.
     )
 
 
-def sample_scenario(
-    rng: np.random.Generator, n_sensors: int, source_scale: float
-) -> Scenario:
+def sample_scenario(rng: np.random.Generator, n_sensors: int, source_scale: float) -> Scenario:
     """Draw one random scenario; resample the rare invariant-violating draws.
 
     Sensor coordinates are uniform on [-0.5, 0.5]; source coordinates are the
@@ -213,10 +202,8 @@ def run_instance(scenario: Scenario, thresholds) -> InstanceResult:
     try:
         estimate = localize(scenario.sensors, range_differences(scenario))
     except (LocalizationError, ValueError) as err:
-        if isinstance(err, (SingularMatrixError, DegenerateDeltasError)):
-            cause = FailureCause.SINGULAR_GEOMETRY
-        else:
-            cause = FailureCause.NUMERICAL_ERROR
+        singular = isinstance(err, (SingularMatrixError, DegenerateDeltasError))
+        cause = FailureCause.SINGULAR_GEOMETRY if singular else FailureCause.NUMERICAL_ERROR
         n = len(thresholds)
         return InstanceResult(None, str(err), None, (False,) * n, (cause,) * n)
 
@@ -244,40 +231,40 @@ def _rel_error(position: np.ndarray, truth: np.ndarray) -> float:
 def run_sweep(config: ExperimentConfig) -> SweepSummary:
     """Run every (scale, instance) cell of the sweep and aggregate.
 
-    Each scale runs in batches of up to BATCH_ROWS instances
-    (``_batch.solve_scale``) over the first draws of their generators, which
-    ``_streams.uniforms`` computes for the whole batch without building the
-    generators. The rows a batch cannot prove generic are rerun one by one
-    through ``sample_scenario`` on their ``instance_rng`` generators and
-    ``run_instance``, whose outcome codes replace the batch's. The tallies
-    equal a one-by-one pass bit for bit, and memory does not grow with
-    ``n_instances``.
+    Each batch of the flat index ``si * n_instances + ii`` takes one
+    ``_streams.uniforms`` call, one ``_batch.solve_scale`` call per scale in
+    it, reruns of the rows it cannot prove generic, and one ``np.bincount``
+    per threshold. The tallies equal a one-by-one pass bit for bit, and
+    memory does not grow with ``n_instances``.
     """
     # Imported here, not at module level, so that importing the package for
     # single solves (``tdoaloc locate``) does not load the batch code.
     from . import _batch, _streams
 
-    n = config.n_instances
-    width = 3 * config.n_sensors + 3
-    cells = []
-    for si, scale in enumerate(config.scale_grid):
-        tallies = np.zeros((len(config.thresholds), len(_CAUSES)), dtype=np.int64)
-        for first in range(0, n, BATCH_ROWS):
-            draws = _streams.uniforms(
-                config.seed, si, first, min(first + BATCH_ROWS, n), width
-            )
-            generic, _, rel_error, losing = _batch.solve_scale(
-                draws, config.n_sensors, scale
-            )
-            codes = _outcomes(rel_error, losing, config.thresholds)
-            for k in np.flatnonzero(~generic).tolist():
-                scenario = sample_scenario(
-                    instance_rng(config.seed, si, first + k), config.n_sensors, scale
-                )
-                result = run_instance(scenario, config.thresholds)
-                codes[:, k] = [_CAUSES.index(c) for c in result.failure_causes]
-            for tally, row in zip(tallies, codes):
-                tally += np.bincount(row, minlength=len(_CAUSES))
-        for threshold, (n_ok, *failures) in zip(config.thresholds, tallies.tolist()):
-            cells.append(SweepCell(config.n_sensors, scale, threshold, n_ok / n, *failures, n))
-    return SweepSummary(config=config, cells=tuple(cells))
+    n, ns, scales = config.n_instances, config.n_sensors, config.scale_grid
+    k = len(_CAUSES)
+    tallies = np.zeros((len(scales), len(config.thresholds), k), dtype=np.int64)
+    for start in range(0, len(scales) * n, BATCH_ROWS):
+        stop = min(start + BATCH_ROWS, len(scales) * n)
+        # The batch's scales s0 .. s1 - 1, as runs (scale index, first, stop).
+        s0, s1 = start // n, (stop - 1) // n + 1
+        runs = [(si, max(start - si * n, 0), min(stop - si * n, n)) for si in range(s0, s1)]
+        sizes = [last - first for _, first, last in runs]
+        draws = np.split(_streams.uniforms(config.seed, runs, 3 * ns + 3), np.cumsum(sizes[:-1]))
+        generic, _, rel_error, losing = map(np.concatenate, zip(*(
+            _batch.solve_scale(part, ns, scales[si]) for si, part in zip(range(s0, s1), draws))))
+        codes = _outcomes(rel_error, losing, config.thresholds)
+        for row in np.flatnonzero(~generic).tolist():
+            si, ii = divmod(start + row, n)
+            scenario = sample_scenario(instance_rng(config.seed, si, ii), ns, scales[si])
+            result = run_instance(scenario, config.thresholds)
+            codes[:, row] = [_CAUSES.index(c) for c in result.failure_causes]
+        # Each code offset by its row's scale within the batch, so that one
+        # bincount per threshold counts the outcomes of every scale.
+        codes += np.repeat(np.arange(0, k * (s1 - s0), k), sizes)
+        for t, row_codes in enumerate(codes):
+            tallies[s0:s1, t] += np.bincount(row_codes, minlength=k * (s1 - s0)).reshape(-1, k)
+    cells = tuple(SweepCell(ns, scale, threshold, n_ok / n, *failures, n)
+                  for scale, rows in zip(scales, tallies.tolist())
+                  for threshold, (n_ok, *failures) in zip(config.thresholds, rows))
+    return SweepSummary(config=config, cells=cells)

@@ -164,7 +164,9 @@ def test_run_sweep_hands_non_generic_rows_to_scalar_path(monkeypatch, n_sensors)
     monkeypatch.setattr(
         _streams,
         "uniforms",
-        lambda seed, si, first, stop, width: np.array([r[:width] for r in rows[first:stop]]),
+        lambda seed, runs, width: np.array(
+            [r[:width] for _, first, stop in runs for r in rows[first:stop]]
+        ),
     )
     # Batches of 4 rows: the special rows straddle batch boundaries, and the
     # singular one (last) is not at its own index within its batch.
@@ -185,3 +187,55 @@ def test_run_sweep_hands_non_generic_rows_to_scalar_path(monkeypatch, n_sensors)
         assert cell.n_singular == tally[FailureCause.SINGULAR_GEOMETRY]
         assert cell.n_wrong_root == tally[FailureCause.WRONG_ROOT]
         assert cell.n_numerical == tally[FailureCause.NUMERICAL_ERROR]
+
+
+@pytest.mark.parametrize("n_sensors", [4, 5])
+def test_reruns_take_scale_and_instance_from_the_flat_index(monkeypatch, n_sensors):
+    # Two scales of 10 rows in batches of 4: the batch of flat rows 8..11
+    # straddles the boundary, and its last two rows are the second scale's
+    # first two special rows (the singular one first), which the batch hands
+    # to the scalar path as scale 1's instances 0 and 1, not as rows 10 and
+    # 11 or as the first scale's.
+    special = list(SPECIAL[n_sensors].values())[::-1]
+    n = 10
+    rows = [_generic_rows(n_sensors, n), (special + _generic_rows(n_sensors, n))[:n]]
+    scales = (0.5, 1.0)
+    reruns = []
+
+    def rerun_rng(seed, si, ii):
+        reruns.append((si, ii))
+        return _Draws(rows[si][ii])
+
+    def rerun_sample(rng, n_sensors, scale):
+        reruns.append(scale)
+        return sample_scenario(rng, n_sensors, scale)
+
+    monkeypatch.setattr(mc, "instance_rng", rerun_rng)
+    monkeypatch.setattr(mc, "sample_scenario", rerun_sample)
+    monkeypatch.setattr(
+        _streams,
+        "uniforms",
+        lambda seed, runs, width: np.array(
+            [r[:width] for si, first, stop in runs for r in rows[si][first:stop]]
+        ),
+    )
+    monkeypatch.setattr(mc, "BATCH_ROWS", 4)
+    config = ExperimentConfig(
+        n_sensors=n_sensors, n_instances=n, thresholds=THRESHOLDS, scale_grid=scales
+    )
+    cells = run_sweep(config).cells
+    # Exactly the special rows are rerun, each at its scale and instance.
+    assert reruns == [x for ii in range(len(special)) for x in ((1, ii), 1.0)]
+
+    expected = []
+    for scale, scale_rows in zip(scales, rows):
+        results = [run_instance(sample_scenario(_Draws(row), n_sensors, scale), THRESHOLDS)
+                   for row in scale_rows]
+        for t in range(len(THRESHOLDS)):
+            causes = [result.failure_causes[t] for result in results]
+            expected.append([causes.count(c) for c in (None, *FailureCause)])
+    assert expected[2][1] == 1  # the coplanar row: singular at the second scale
+    got = [[round(c.success_fraction * n), c.n_singular, c.n_wrong_root, c.n_numerical]
+           for c in cells]
+    assert [c.source_scale for c in cells] == [0.5, 0.5, 1.0, 1.0]
+    assert got == expected

@@ -35,21 +35,54 @@ def test_uniforms_equal_instance_rng_bit_for_bit(seed, width):
             expected = np.array(
                 [instance_rng(seed, si, ii).random(width) for ii in range(first, stop)]
             )
-            got = uniforms(seed, si, first, stop, width)
+            got = uniforms(seed, [(si, first, stop)], width)
             assert got.shape == (stop - first, width)
             assert _bits(got) == _bits(expected), (seed, si, first)
+
+
+# Seeds of one to five 32-bit words.
+WORD_SEEDS = [7, 2**32 + 5, 2**64 + 11, 2**96 + 13, 2**128 + 17]
+# Batches of runs (scale index, first, stop) that cross scale boundaries: a
+# run that starts mid-scale, one instance per scale, scale indices of one and
+# two words in one batch, empty runs, and the last instances of a scale whose
+# flat index (si * 2**32 + ii) does not fit in int64.
+CROSS_SCALE_BATCHES = [
+    [(3, 98, 100), (4, 0, 3)],
+    [(si, 0, 1) for si in range(10, 16)],
+    [(2**32 - 1, 5, 7), (2**32, 0, 2), (2**32 + 3, 0, 1)],
+    [(0, 4, 4), (1, 0, 2), (2, 0, 0), (12, 0, 1)],
+    [(2**32 + 3, MAX_INSTANCE_INDEX - 1, MAX_INSTANCE_INDEX + 1), (2**32 + 4, 0, 2)],
+] + [
+    [(si, first, first + _rand.randrange(4)) for si, first in zip(
+        sorted(_rand.sample(SCALE_INDICES + list(range(2, 12)), 3)),
+        (_rand.randrange(1000), 0, 0))]
+    for _ in range(4)
+]
+
+
+@pytest.mark.parametrize("width", [15, 18])
+@pytest.mark.parametrize("seed", WORD_SEEDS + SEEDS[-2:])
+def test_batches_across_scales_equal_instance_rng_bit_for_bit(seed, width):
+    for runs in CROSS_SCALE_BATCHES:
+        expected = [
+            instance_rng(seed, si, ii).random(width)
+            for si, first, stop in runs for ii in range(first, stop)
+        ]
+        got = uniforms(seed, runs, width)
+        assert got.shape == (len(expected), width)
+        assert _bits(got) == _bits(np.reshape(expected, (-1, width))), (seed, runs)
 
 
 def test_uniforms_reject_out_of_domain_indices():
     # An instance index above MAX_INSTANCE_INDEX would be two spawn-key
     # words; run_sweep never asks for one (ExperimentConfig caps n_instances).
     with pytest.raises(ValueError):
-        uniforms(SEED, 0, MAX_INSTANCE_INDEX, MAX_INSTANCE_INDEX + 2, 15)
+        uniforms(SEED, [(0, MAX_INSTANCE_INDEX, MAX_INSTANCE_INDEX + 2)], 15)
     with pytest.raises(ValueError):
-        uniforms(-1, 0, 0, 1, 15)
+        uniforms(-1, [(0, 0, 1)], 15)
     with pytest.raises(ValueError):
-        uniforms(SEED, -1, 0, 1, 15)
-    assert uniforms(SEED, 0, 5, 5, 15).shape == (0, 15)
+        uniforms(SEED, [(-1, 0, 1)], 15)
+    assert uniforms(SEED, [(0, 5, 5)], 15).shape == (0, 15)
 
 
 @pytest.mark.parametrize("n_sensors", [4, 5])
@@ -58,7 +91,7 @@ def test_acceptance_scenarios_equal_sample_scenario(n_sensors):
     # the streams, equals sample_scenario's on the instance's generator.
     n = 1000
     for si, scale in enumerate(DEFAULT_SCALE_GRID):
-        draws = uniforms(SEED, si, 0, n, 3 * n_sensors + 3)
+        draws = uniforms(SEED, [(si, 0, n)], 3 * n_sensors + 3)
         sensors = draws[:, : 3 * n_sensors].reshape(n, n_sensors, 3) - 0.5
         source = scale * (draws[:, 3 * n_sensors:] - 0.5)
         for ii in range(n):

@@ -20,6 +20,7 @@ from tdoaloc import (
 from tdoaloc._batch import solve_scale
 from tdoaloc.result import Candidate
 from tdoaloc._streams import uniforms
+import tdoaloc.montecarlo as mc
 from tdoaloc.montecarlo import BATCH_ROWS
 
 # Peak bytes per row of one four- or five-sensor batch of 1024 rows, as
@@ -59,12 +60,30 @@ def test_sweep_peak_is_bounded_by_batch_rows():
     assert large <= small * BATCH_ROWS / 100, (small, large)
 
 
+def test_sweep_peak_does_not_grow_with_instances(monkeypatch):
+    # At a fixed batch size, 32 times as many instances are 32 times as many
+    # batches of the same size, so the peak stays that of one batch. Keeping
+    # even 2 B per instance past its batch would add a fifth to it; the 15 %
+    # allows for interpreter free lists, which fill as batches run.
+    monkeypatch.setattr(mc, "BATCH_ROWS", 256)
+
+    def sweep(n_instances):
+        config = ExperimentConfig(
+            n_sensors=4, n_instances=n_instances, seed=3, scale_grid=DEFAULT_SCALE_GRID[:3]
+        )
+        return _peak_bytes(run_sweep, config)
+
+    sweep(8192)  # lazy set-up and caches, outside the count
+    small, large = sweep(256), sweep(8192)
+    assert large <= 1.15 * small, (small, large)
+
+
 def test_batch_peak_bytes_per_row():
     n = 1024
-    draws = uniforms(11, 0, 0, n, 15)
-    assert _peak_bytes(uniforms, 11, 0, 0, n, 15) <= UNIFORMS_BYTES_PER_ROW * n
+    draws = uniforms(11, [(0, 0, n)], 15)
+    assert _peak_bytes(uniforms, 11, [(0, 0, n)], 15) <= UNIFORMS_BYTES_PER_ROW * n
     assert _peak_bytes(solve_scale, draws, 4, 1e-3) <= SOLVE_BYTES_PER_ROW * n
-    draws = uniforms(11, 0, 0, n, 18)
+    draws = uniforms(11, [(0, 0, n)], 18)
     assert _peak_bytes(solve_scale, draws, 5, 1e-3) <= SOLVE_BYTES_PER_ROW * n
 
 
