@@ -77,7 +77,7 @@ def _words(n: int) -> list[int]:
 
 
 def _mix_in(pool: list[int], words, consts) -> list[int]:
-    """A new pool: ``pool`` with entropy words past the first four mixed in."""
+    """The pool after mixing in entropy words past the first four; ``pool`` is not modified."""
     for w in words:
         pool = [_mix(p, _hashmix(w, next(consts))) for p in pool]
     return pool
