@@ -3,19 +3,19 @@
 
 Sweeps the source-region scale over a log grid, runs seeded Monte Carlo
 instances at each point, and tabulates the fraction localized within each
-relative-error threshold. Writes a CSV next to this script and, when
-matplotlib is importable, a PNG with the two curves per solver.
+relative-error threshold. Writes one CSV per sensor count next to this
+script, in the columns of ``tdoaloc sweep``, and, when matplotlib is
+importable, a PNG with the two curves per solver.
 
 The five-sensor solver is exact almost everywhere. The four-sensor solver
 carries an intrinsic two-solution ambiguity for a large share of random
 geometries, which shows up as wrong-root failures at every scale.
 """
 
-import csv
-import io
 from pathlib import Path
 
 from tdoaloc import DEFAULT_SCALE_GRID, ExperimentConfig, run_sweep
+from tdoaloc.cli import write_sweep_csv
 
 N_INSTANCES = 300  # bump to 1000 for the full experiment
 SEED = 20260809
@@ -42,21 +42,10 @@ for n_sensors in (5, 4):
             f" {loose.n_singular:>9d} {loose.n_wrong_root:>6d} {loose.n_numerical:>8d}"
         )
 
-out_csv = Path(__file__).with_name("success_fraction_sweep.csv")
-buf = io.StringIO()
-writer = csv.writer(buf, lineterminator="\n")
-writer.writerow(
-    ["n_sensors", "source_scale", "threshold", "success_fraction",
-     "n_singular", "n_wrong_root", "n_numerical", "n_instances"]
-)
-for cell in rows:
-    writer.writerow([
-        cell.n_sensors, repr(cell.source_scale), repr(cell.threshold),
-        repr(cell.success_fraction), cell.n_singular, cell.n_wrong_root,
-        cell.n_numerical, cell.n_instances,
-    ])
-out_csv.write_text(buf.getvalue())
-print(f"\nwrote {out_csv}")
+    out_csv = Path(__file__).with_name(f"success_fraction_sweep_{n_sensors}.csv")
+    with out_csv.open("w") as out:
+        write_sweep_csv(summary, out)
+    print(f"wrote {out_csv}")
 
 try:
     import matplotlib

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -25,6 +26,7 @@ from .montecarlo import (
     DEFAULT_THRESHOLDS,
     MAX_SCALES,
     ExperimentConfig,
+    SweepCell,
     SweepSummary,
     run_sweep,
     sample_scenario,
@@ -39,16 +41,8 @@ EXIT_INVALID_CONFIG = 5
 EXIT_DEGENERATE = 6
 EXIT_OUTPUT_ERROR = 7
 
-CSV_COLUMNS = (
-    "n_sensors",
-    "source_scale",
-    "threshold",
-    "success_fraction",
-    "n_singular",
-    "n_wrong_root",
-    "n_numerical",
-    "n_instances",
-)
+# The sweep's CSV and JSON columns: SweepCell's fields, in order.
+CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepCell))
 
 
 # The exit code of a LocalizationError: that of the first class it is an
@@ -226,7 +220,3 @@ def main(argv=None) -> int:
     except LocalizationError as err:
         print(f"error: {err}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES if isinstance(err, cls))
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

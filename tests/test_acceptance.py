@@ -24,7 +24,7 @@ from tdoaloc import (
     solve_five_sensor,
     solve_four_sensor,
 )
-from tdoaloc.solver4 import _candidates, _quadratic
+from tdoaloc.solver4 import _point, _quadratic
 from test_solver4 import _line
 from test_solver5 import _system
 
@@ -256,7 +256,8 @@ def test_criterion_4_property_suite():
             roots = _quadratic(slope, offset, baseline)[3]
         except SingularMatrixError:
             continue
-        for rho, pos, _ in _candidates(slope, offset, origin, roots):
+        for rho in roots:
+            pos = np.array(_point(rho, slope, offset, origin))
             if abs(np.linalg.norm(pos - origin) - rho) > 1e-8 * max(rho, 1e-12):
                 bad += 1
         checked += 1

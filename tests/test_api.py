@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import tdoaloc
+from tdoaloc.cli import CSV_COLUMNS
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -195,7 +196,7 @@ def _subprocess_env() -> dict:
 
 
 # Each demo runs from a copy in tmp_path, so what it writes next to itself
-# (success_fraction_sweep.py's CSV and PNG) stays out of demos/.
+# (success_fraction_sweep.py's CSVs and PNG) stays out of demos/.
 @pytest.mark.parametrize(
     "demo", ["exact_localization.py", "degenerate_and_ambiguous.py", "success_fraction_sweep.py"]
 )
@@ -205,6 +206,22 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(copy)], capture_output=True, text=True,
                           env=_subprocess_env())
     assert proc.returncode == 0, proc.stderr
+    csvs = sorted(path.name for path in tmp_path.glob("*.csv"))
+    if demo == "success_fraction_sweep.py":
+        # One CSV per sensor count, in the columns of ``tdoaloc sweep``.
+        assert csvs == ["success_fraction_sweep_4.csv", "success_fraction_sweep_5.csv"]
+    for name in csvs:
+        assert (tmp_path / name).read_text().startswith(",".join(CSV_COLUMNS) + "\n"), name
+
+
+def test_module_entry_point_runs_a_sweep():
+    proc = subprocess.run(
+        [sys.executable, "-m", "tdoaloc", "sweep", "--sensors", "5", "--instances", "2",
+         "--scales", "1"],
+        capture_output=True, text=True, env=_subprocess_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == ",".join(CSV_COLUMNS)
 
 
 def test_import_loads_the_cli_module():

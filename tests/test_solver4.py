@@ -18,7 +18,7 @@ from tdoaloc import (
 )
 from tdoaloc.geom3 import solve3_pivoted
 from tdoaloc.measurement import _frame
-from tdoaloc.solver4 import _candidates, _line_rows, _quadratic, _resolve, _retain
+from tdoaloc.solver4 import _line_rows, _point, _quadratic, _resolve, _retain
 
 CANONICAL_SENSORS = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
 CANONICAL_SOURCE = np.array([2.0, 3.0, 4.0])
@@ -201,7 +201,8 @@ def test_candidate_range_consistency():
             roots = _quadratic(slope, offset, baseline)[3]
         except SingularMatrixError:
             continue
-        for rho, pos, _ in _candidates(slope, offset, origin, roots):
+        for rho in roots:
+            pos = np.array(_point(rho, slope, offset, origin))
             assert abs(np.linalg.norm(pos - origin) - rho) <= 1e-8 * max(rho, 1e-12)
         checked += 1
 
@@ -266,7 +267,7 @@ def _score(candidates, sensors, deltas):
     """``_resolve`` on ``(rho, position)`` candidates, as the solver scores
     the candidates of its quadratic."""
     rel, origin, _, baseline = _frame(sensors.positions.tolist())
-    candidates = [(rho, pos, pos.tolist()) for rho, pos in candidates]
+    candidates = [(rho, pos.tolist()) for rho, pos in candidates]
     return _resolve(candidates, rel, origin, deltas.deltas.tolist(), baseline, {})
 
 
