@@ -29,14 +29,14 @@ for n_sensors in (5, 4):
         seed=SEED,
         scale_grid=DEFAULT_SCALE_GRID,
     )
-    summary = run_sweep(config)
-    rows.extend(summary.cells)
+    cells = run_sweep(config)
+    rows.extend(cells)
 
     print(f"\n=== {n_sensors}-sensor solver, {N_INSTANCES} instances per scale ===")
     print(f"{'scale':>10} {'T=1e-6':>8} {'T=1e-3':>8} {'singular':>9} {'wrong':>6} {'numeric':>8}")
     for scale in config.scale_grid:
-        cells = {c.threshold: c for c in summary.cells if c.source_scale == scale}
-        tight, loose = cells[1e-6], cells[1e-3]
+        by_threshold = {c.threshold: c for c in cells if c.source_scale == scale}
+        tight, loose = by_threshold[1e-6], by_threshold[1e-3]
         print(
             f"{scale:>10.2e} {tight.success_fraction:>8.3f} {loose.success_fraction:>8.3f}"
             f" {loose.n_singular:>9d} {loose.n_wrong_root:>6d} {loose.n_numerical:>8d}"
@@ -44,7 +44,7 @@ for n_sensors in (5, 4):
 
     out_csv = Path(__file__).with_name(f"success_fraction_sweep_{n_sensors}.csv")
     with out_csv.open("w") as out:
-        write_sweep_csv(summary, out)
+        write_sweep_csv(cells, out)
     print(f"wrote {out_csv}")
 
 try:

@@ -27,7 +27,6 @@ from .montecarlo import (
     MAX_SCALES,
     ExperimentConfig,
     SweepCell,
-    SweepSummary,
     run_sweep,
     sample_scenario,
 )
@@ -72,26 +71,19 @@ def _print_report(result: LocalizationResult, out) -> None:
             file=out,
         )
     diag = result.diagnostics
-    if diag:
-        parts = []
-        for key in sorted(diag):
-            parts.append(f"{key}={diag[key]}")
-        print("diagnostics: " + " ".join(parts), file=out)
+    print("diagnostics: " + " ".join(f"{key}={diag[key]}" for key in sorted(diag)), file=out)
 
 
-def write_sweep_csv(summary: SweepSummary, out) -> None:
+def write_sweep_csv(cells: tuple[SweepCell, ...], out) -> None:
     """One CSV record per (scale, threshold) cell; repr-exact floats."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for cell in summary.cells:
+    for cell in cells:
         writer.writerow([repr(getattr(cell, col)) for col in CSV_COLUMNS])
 
 
-def write_sweep_json(summary: SweepSummary, out) -> None:
-    records = [
-        {col: getattr(cell, col) for col in CSV_COLUMNS} for cell in summary.cells
-    ]
-    json.dump(records, out, indent=2)
+def write_sweep_json(cells: tuple[SweepCell, ...], out) -> None:
+    json.dump([dataclasses.asdict(cell) for cell in cells], out, indent=2)
     out.write("\n")
 
 
@@ -149,7 +141,7 @@ def cmd_locate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    summary = run_sweep(ExperimentConfig(
+    cells = run_sweep(ExperimentConfig(
         n_sensors=args.sensors,
         n_instances=args.instances,
         thresholds=tuple(_parse_floats(args.thresholds, "--thresholds")),
@@ -157,7 +149,7 @@ def cmd_sweep(args) -> int:
         scale_grid=_scale_grid(args),
     ))
     writers = {"csv": write_sweep_csv, "json": write_sweep_json}
-    return _write_out(args.out, functools.partial(writers[args.format], summary))
+    return _write_out(args.out, functools.partial(writers[args.format], cells))
 
 
 def cmd_gen(args) -> int:

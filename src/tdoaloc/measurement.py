@@ -120,7 +120,7 @@ def as_range_differences(deltas) -> RangeDifferences:
     """Coerce an array-like into :class:`RangeDifferences`."""
     if isinstance(deltas, RangeDifferences):
         return deltas
-    return RangeDifferences(np.asarray(deltas, dtype=float))
+    return RangeDifferences(deltas)
 
 
 @dataclass(frozen=True)
@@ -182,11 +182,15 @@ def _frame(rows) -> tuple[list, list, tuple[float, ...], float]:
     return rel, origin, tuple(sq), math.sqrt(max(sq))
 
 
-def range_differences(scenario: Scenario) -> RangeDifferences:
-    """Noise-free forward model: range differences against the reference.
-    Raises ValueError if a range overflows (a source beyond about 1e154 m)."""
+def range_differences(scenario: Scenario | ScenarioDocument) -> RangeDifferences:
+    """Noise-free forward model: range differences against the reference,
+    of a scenario or of a document with a source. Raises ValueError if the
+    source sits on a sensor (a document's source is not checked for that
+    on loading) or if a range overflows (a source beyond about 1e154 m)."""
     d = _forward(scenario.sensors.positions.tolist(), scenario.source.tolist())
-    return RangeDifferences(deltas=np.array(d))
+    if not all(map(math.isfinite, d)):
+        raise ValueError("range differences must be finite")
+    return _checked(RangeDifferences, "deltas", d)
 
 
 def arrival_times_to_range_diffs(times, c: float = SPEED_OF_LIGHT) -> np.ndarray:
@@ -359,9 +363,7 @@ def write_scenario(out, scenario: Scenario) -> None:
 
 def document_deltas(doc: ScenarioDocument) -> RangeDifferences:
     """Range differences for a document as ``load_scenario`` returns it: as
-    given, or forward-modelled from its checked source by the pass over the
-    sensors that ``Scenario`` and ``range_differences`` run, which checks
-    the source's clearance as it goes.
+    given, or ``range_differences`` of its source.
 
     Raises:
         ScenarioFormatError: if the source sits on a sensor or is too far
@@ -370,10 +372,6 @@ def document_deltas(doc: ScenarioDocument) -> RangeDifferences:
     if doc.deltas is not None:
         return doc.deltas
     try:
-        d = _forward(doc.sensors.positions.tolist(), doc.source.tolist())
-        # A source too far out overflows to non-finite range differences.
-        if not all(map(math.isfinite, d)):
-            raise ValueError("range differences must be finite")
+        return range_differences(doc)
     except ValueError as err:
         raise ScenarioFormatError(f"bad source: {err}") from err
-    return _checked(RangeDifferences, "deltas", d)

@@ -146,14 +146,6 @@ class SweepCell:
     n_instances: int
 
 
-@dataclass(frozen=True)
-class SweepSummary:
-    """All cells of a sweep, ordered by (scale index, threshold index)."""
-
-    config: ExperimentConfig
-    cells: tuple[SweepCell, ...]
-
-
 def instance_rng(seed: int, scale_index: int, instance_index: int) -> np.random.Generator:
     """Independent per-instance generator from a splittable seed hash."""
     return np.random.default_rng(
@@ -228,8 +220,10 @@ def _rel_error(position: np.ndarray, truth: np.ndarray) -> float:
     return 0.0 if err == 0.0 else math.inf
 
 
-def run_sweep(config: ExperimentConfig) -> SweepSummary:
-    """Run every (scale, instance) cell of the sweep and aggregate.
+def run_sweep(config: ExperimentConfig) -> tuple[SweepCell, ...]:
+    """Run every (scale, instance) cell of the sweep and aggregate: one
+    ``SweepCell`` per (scale, threshold), ordered by scale index, then
+    threshold index.
 
     Each batch of the flat index ``si * n_instances + ii`` takes one
     ``_streams.uniforms`` call, one ``_batch.solve_scale`` call per scale in
@@ -264,7 +258,6 @@ def run_sweep(config: ExperimentConfig) -> SweepSummary:
         codes += np.repeat(np.arange(0, k * (s1 - s0), k), sizes)
         for t, row_codes in enumerate(codes):
             tallies[s0:s1, t] += np.bincount(row_codes, minlength=k * (s1 - s0)).reshape(-1, k)
-    cells = tuple(SweepCell(ns, scale, threshold, n_ok / n, *failures, n)
-                  for scale, rows in zip(scales, tallies.tolist())
-                  for threshold, (n_ok, *failures) in zip(config.thresholds, rows))
-    return SweepSummary(config=config, cells=cells)
+    return tuple(SweepCell(ns, scale, threshold, n_ok / n, *failures, n)
+                 for scale, rows in zip(scales, tallies.tolist())
+                 for threshold, (n_ok, *failures) in zip(config.thresholds, rows))

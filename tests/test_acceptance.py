@@ -58,7 +58,7 @@ def test_criterion_1_five_sensor_noise_free_exactness():
     elapsed = time.perf_counter() - t0
     fracs = {
         c.source_scale: c.success_fraction
-        for c in summary.cells
+        for c in summary
         if c.threshold == 1e-6
     }
     ok = all(f >= 0.99 for f in fracs.values()) and elapsed < 5.0
@@ -98,7 +98,7 @@ def test_criterion_2_four_sensor_noise_free_exactness():
     elapsed = time.perf_counter() - t0
     raw = {
         c.source_scale: c.success_fraction
-        for c in summary.cells
+        for c in summary
         if c.threshold == 1e-3
     }
 
@@ -154,7 +154,7 @@ def test_criterion_2_four_sensor_noise_free_exactness():
             ) >= 1e-6 * truth_norm:
                 clause_b_ok = False
     cell_scale1 = next(
-        c for c in summary.cells if c.threshold == 1e-3 and c.source_scale == 1.0
+        c for c in summary if c.threshold == 1e-3 and c.source_scale == 1.0
     )
     assert cell_scale1.n_wrong_root + cell_scale1.n_singular + cell_scale1.n_numerical == n_failures
     # The per-instance pass must see the same outcomes as the timed sweep.
@@ -319,7 +319,7 @@ def test_criterion_4_property_suite():
     )
     s1 = run_sweep(cfg)
     bad = 0 if s1 == run_sweep(cfg) else 1
-    cells = iter(s1.cells)
+    cells = iter(s1)
     for si, scale in enumerate(cfg.scale_grid):
         results = [
             run_instance(sample_scenario(instance_rng(SEED, si, ii), 4, scale), THRESHOLDS)

@@ -174,7 +174,7 @@ def test_run_sweep_hands_non_generic_rows_to_scalar_path(monkeypatch, n_sensors)
     config = ExperimentConfig(
         n_sensors=n_sensors, n_instances=len(rows), thresholds=THRESHOLDS
     )
-    cells = run_sweep(config).cells
+    cells = run_sweep(config)
 
     expected = [dict.fromkeys([None, *FailureCause], 0) for _ in THRESHOLDS]
     for row in rows:
@@ -223,7 +223,7 @@ def test_reruns_take_scale_and_instance_from_the_flat_index(monkeypatch, n_senso
     config = ExperimentConfig(
         n_sensors=n_sensors, n_instances=n, thresholds=THRESHOLDS, scale_grid=scales
     )
-    cells = run_sweep(config).cells
+    cells = run_sweep(config)
     # Exactly the special rows are rerun, each at its scale and instance.
     assert reruns == [x for ii in range(len(special)) for x in ((1, ii), 1.0)]
 

@@ -68,6 +68,24 @@ def test_locate_four_sensor_reports_candidates(tmp_path, capsys):
     assert "candidate[0]:" in out
 
 
+def test_locate_ambiguous_source_prints_the_flag(tmp_path, capsys):
+    # The four-sensor array and truth of demos/degenerate_and_ambiguous.py,
+    # whose deltas two positions meet exactly.
+    doc = {
+        "sensors": [
+            [0.00334112215937421, 0.3078804230035789, 0.10317510756265424],
+            [0.04975478029850822, 0.2570131842588753, 0.13361092574612565],
+            [-0.43980262272196546, 0.1194958202621309, -0.42458306034530924],
+            [0.11166014575491934, -0.03491379501772951, 0.31044102626062253],
+        ],
+        "source": [0.37290505241303085, 0.48743102622653833, 0.06979966723601316],
+    }
+    assert main(["locate", _write(tmp_path, doc)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "ambiguous: two exact solutions, see candidates\n" in out
+    assert "candidate[1]:" in out
+
+
 def test_locate_from_deltas(tmp_path, capsys):
     deltas = [
         -0.28614529354171925,
@@ -225,7 +243,7 @@ def test_sweep_csv_deterministic_and_parseable(tmp_path, capsys):
         )
     )
     # Lossless round trip: every field of every cell, floats to the bit.
-    assert records == [{col: getattr(c, col) for col in CSV_COLUMNS} for c in direct.cells]
+    assert records == [{col: getattr(c, col) for col in CSV_COLUMNS} for c in direct]
     assert {r["threshold"] for r in records} == {1e-6, 1e-3}
 
 
@@ -257,7 +275,11 @@ def test_sweep_scale_range_flag(tmp_path):
         n_sensors=5, n_instances=5, seed=1, thresholds=(1e-3,),
         scale_grid=tuple(r["source_scale"] for r in records),
     ))
-    assert records == [{col: getattr(c, col) for col in CSV_COLUMNS} for c in direct.cells]
+    assert records == [{col: getattr(c, col) for col in CSV_COLUMNS} for c in direct]
+    # A count of 1 is the lower bound alone, exactly.
+    args[4] = "0.5,2,1"
+    assert main(args) == EXIT_OK
+    assert [r["source_scale"] for r in _sweep_records(out_path.read_text())] == [0.5]
 
 
 def test_scales_and_scale_range_conflict(capsys):
@@ -279,6 +301,8 @@ def test_sweep_invalid_configs(capsys):
     capsys.readouterr()
     assert main(["sweep", "--thresholds", "abc"]) == EXIT_INVALID_CONFIG
     capsys.readouterr()
+    assert main(["sweep", "--thresholds", ","]) == EXIT_INVALID_CONFIG
+    assert capsys.readouterr().err == "error: --thresholds needs at least one value\n"
     assert main(["sweep", "--instances", str(2**32 + 1)]) == EXIT_INVALID_CONFIG
     capsys.readouterr()
     # Non-finite and fractional values: one error line each, no traceback.

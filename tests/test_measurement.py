@@ -198,6 +198,8 @@ def test_scenario_validation():
         Scenario(sensors=arr, source=(1, 0, 0))  # on a sensor
     with pytest.raises(ValueError):
         Scenario(sensors=arr, source=(np.inf, 0, 0))
+    with pytest.raises(ValueError):
+        Scenario(sensors=arr, source=(1.0, 2.0))  # not a 3-vector
 
 
 def test_range_differences_validation():
@@ -250,6 +252,10 @@ def test_scenario_document_errors(tmp_path):
         p = tmp_path / "broken.json"
         p.write_text("{nope")
         load_scenario(p)
+    with pytest.raises(ScenarioFormatError):  # not an object
+        load_scenario(write([CANONICAL_SENSORS_5, [2, 3, 4]]))
+    with pytest.raises(ScenarioFormatError):  # no sensors
+        load_scenario(write({"source": [2, 3, 4]}))
     with pytest.raises(ScenarioFormatError):  # 3 sensors
         load_scenario(write({"sensors": [[0, 0, 0], [1, 0, 0], [0, 1, 0]], "source": [2, 3, 4]}))
     with pytest.raises(ScenarioFormatError):  # neither source nor deltas

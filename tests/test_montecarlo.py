@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,20 @@ def test_run_instance_canonical_success():
 
 
 @pytest.mark.parametrize(
+    "n_sensors, rel_error, causes",
+    [(5, 0.0, (None, None)), (4, math.inf, (FailureCause.NUMERICAL_ERROR,) * 2)],
+)
+def test_run_instance_source_at_origin(n_sensors, rel_error, causes):
+    # A source at the origin has no scale to divide by: an exact estimate
+    # is a relative error of 0, any other one of inf.
+    sensors = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (-1, 0.5, 0.2)][:n_sensors]
+    res = run_instance(Scenario(sensors=SensorArray(sensors), source=(0, 0, 0)), (1e-6, 1e-3))
+    assert res.rel_error == rel_error
+    assert res.failure_causes == causes
+    assert res.success_at == tuple(c is None for c in causes)
+
+
+@pytest.mark.parametrize(
     "thresholds", [(-1.0,), (np.nan,), (0.0,), ("1e-3",), (True,), "1e-3"], ids=repr
 )
 def test_run_instance_rejects_what_the_config_rejects(thresholds):
@@ -220,15 +236,15 @@ def test_far_source_is_a_numerical_failure():
     assert "finite" in res.error
     # The sweep completes (tests/test_cli.py runs the five-sensor one).
     cfg = ExperimentConfig(n_sensors=4, n_instances=3, scale_grid=(1e300,))
-    for cell in run_sweep(cfg).cells:
+    for cell in run_sweep(cfg):
         assert (cell.success_fraction, cell.n_numerical) == (0.0, 3)
 
 
 def test_run_sweep_single_trivial_instance():
     cfg = ExperimentConfig(n_sensors=5, n_instances=1, thresholds=(1e-6,), seed=SEED)
     summary = run_sweep(cfg)
-    assert len(summary.cells) == 1
-    cell = summary.cells[0]
+    assert len(summary) == 1
+    cell = summary[0]
     assert cell.success_fraction == 1.0
     assert cell.n_instances == 1
     assert cell.n_singular == cell.n_wrong_root == cell.n_numerical == 0
@@ -249,7 +265,8 @@ def test_run_sweep_cell_layout():
         n_sensors=4, n_instances=40, thresholds=(1e-6, 1e-3), seed=9,
         scale_grid=(1e-6, 1.0),
     )
-    cells = run_sweep(cfg).cells
+    cells = run_sweep(cfg)
+    assert type(cells) is tuple and all(type(c) is mc.SweepCell for c in cells)
     assert [(c.source_scale, c.threshold) for c in cells] == [
         (s, t) for s in cfg.scale_grid for t in cfg.thresholds
     ]
@@ -263,7 +280,7 @@ def test_sweep_threshold_monotonicity_and_accounting():
     )
     summary = run_sweep(cfg)
     by_scale = {}
-    for cell in summary.cells:
+    for cell in summary:
         by_scale.setdefault(cell.source_scale, {})[cell.threshold] = cell
         successes = round(cell.success_fraction * cell.n_instances)
         assert (

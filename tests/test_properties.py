@@ -431,12 +431,17 @@ def _documents(draw, kind):
 
 def _constructed(doc):
     """The positions, the source (or None) and the range differences the
-    public constructors give for ``doc``, or None where they reject it."""
+    public constructors give for ``doc``, or None where they reject it. A
+    source's range differences come from a numpy forward model, not from
+    ``range_differences``, which ``document_deltas`` calls."""
     try:
         sensors = SensorArray(doc["sensors"])
         if "source" in doc:
-            scenario = Scenario(sensors, doc["source"])
-            return sensors.positions, scenario.source, range_differences(scenario).deltas
+            source = Scenario(sensors, doc["source"]).source
+            with np.errstate(over="ignore", invalid="ignore"):
+                ranges = np.sqrt(np.sum((sensors.positions - source) ** 2, axis=1))
+                deltas = RangeDifferences(ranges[1:] - ranges[0])
+            return sensors.positions, source, deltas.deltas
         if "deltas" in doc:
             return sensors.positions, None, RangeDifferences(doc["deltas"]).deltas
         c = doc.get("c", SPEED_OF_LIGHT)
