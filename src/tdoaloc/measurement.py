@@ -17,7 +17,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import combinations, repeat
 
 import numpy as np
 
@@ -39,15 +39,17 @@ def _dot(x, y) -> float:
 def _check_array(rows) -> None:
     if len(rows) not in (4, 5):
         raise ValueError(f"need exactly 4 or 5 sensors, got {len(rows)}")
-    # Each pair's squared distance, summed as _forward sums, in one nested loop.
-    for i, (a, b, c) in enumerate(rows):
-        for x, y, z in rows[i + 1:]:
-            if ((x - a) * (x - a) + (y - b) * (y - b)) + (z - c) * (z - c) <= EPS_SEP * EPS_SEP:
-                raise ValueError(f"sensors closer than {EPS_SEP} m make the geometry singular")
+    # Each pair's squared distance, summed as _forward sums.
+    for (a, b, c), (x, y, z) in combinations(rows, 2):
+        if ((x - a) * (x - a) + (y - b) * (y - b)) + (z - c) * (z - c) <= EPS_SEP * EPS_SEP:
+            raise ValueError(f"sensors closer than {EPS_SEP} m make the geometry singular")
 
 
-def _readonly(array: np.ndarray) -> np.ndarray:
-    """``array``, made read-only."""
+def _frozen(values) -> np.ndarray:
+    """A read-only float64 copy of ``values``: the one way an array enters a
+    record, so a record keeps the values it checked and never shares, or
+    freezes, an array of its caller."""
+    array = np.array(values, dtype=float)
     array.setflags(write=False)
     return array
 
@@ -57,7 +59,7 @@ def _checked(cls, name: str, values):
     floats ``values``, which have already passed ``cls``'s checks: its
     constructor, which would check them again, does not run."""
     record = object.__new__(cls)
-    object.__setattr__(record, name, _readonly(np.array(values)))
+    object.__setattr__(record, name, _frozen(values))
     return record
 
 
@@ -68,15 +70,16 @@ class SensorArray:
     positions: np.ndarray  # (n, 3), meters, n in {4, 5}
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float)
+        pos = _frozen(self.positions)
         if pos.ndim != 2 or pos.shape[1] != 3:
             raise ValueError(
                 f"sensor positions must be an (n, 3) array, got shape {pos.shape}"
             )
-        if not np.all(np.isfinite(pos)):
+        rows = pos.tolist()
+        if not all([math.isfinite(v) for row in rows for v in row]):
             raise ValueError("sensor positions must be finite")
-        _check_array(pos.tolist())
-        object.__setattr__(self, "positions", _readonly(pos))
+        _check_array(rows)
+        object.__setattr__(self, "positions", pos)
 
     @property
     def n_sensors(self) -> int:
@@ -95,14 +98,14 @@ class RangeDifferences:
     deltas: np.ndarray  # (n_sensors - 1,), meters
 
     def __post_init__(self):
-        d = np.asarray(self.deltas, dtype=float)
+        d = _frozen(self.deltas)
         if d.ndim != 1 or d.shape[0] not in (3, 4):
             raise ValueError(
                 f"need 3 or 4 range differences (4- or 5-sensor array), got shape {d.shape}"
             )
         if not all(map(math.isfinite, d.tolist())):
             raise ValueError("range differences must be finite")
-        object.__setattr__(self, "deltas", _readonly(d))
+        object.__setattr__(self, "deltas", d)
 
     @property
     def n_sensors(self) -> int:
@@ -132,13 +135,14 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "sensors", as_sensor_array(self.sensors))
-        src = np.asarray(self.source, dtype=float)
+        src = _frozen(self.source)
         if src.shape != (3,):
             raise ValueError(f"source must be a 3-vector, got shape {src.shape}")
-        if not np.all(np.isfinite(src)):
+        point = src.tolist()
+        if not all(map(math.isfinite, point)):
             raise ValueError("source position must be finite")
-        _forward(self.sensors.positions.tolist(), src.tolist())  # the clearance check
-        object.__setattr__(self, "source", _readonly(src))
+        _forward(self.sensors.positions.tolist(), point)  # the clearance check
+        object.__setattr__(self, "source", src)
 
 
 def _forward(rows, point) -> list[float]:
@@ -333,7 +337,7 @@ def load_scenario(path) -> ScenarioDocument:
         if not c > 0.0:
             raise ValueError(f"propagation speed must be positive, got {c}")
         if "source" in raw:
-            source = _readonly(np.array(_numbers(raw["source"], 3, "'source'")))
+            source = _frozen(_numbers(raw["source"], 3, "'source'"))
         else:
             if "deltas" in raw:
                 d = _numbers(raw["deltas"], n - 1, "'deltas'")

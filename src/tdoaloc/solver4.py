@@ -15,11 +15,9 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import DegenerateLinearError, NoCandidatesError, NoRealSolutionError
 from .geom3 import solve3_pivoted
-from .measurement import SensorArray, _frame, _readonly, as_range_differences, as_sensor_array
+from .measurement import SensorArray, _frame, _frozen, as_range_differences, as_sensor_array
 from .result import Candidate, LocalizationResult, Method
 
 # Tolerances separating analytic degeneracy from round-off. EPS_LIN detects a
@@ -162,7 +160,7 @@ def _resolve(candidates, rel, origin, d, baseline: float, diagnostics: dict) -> 
         )
     scored = []
     for rho, pos in candidates:
-        scored.append(Candidate(float(rho), _readonly(np.array(pos)),
+        scored.append(Candidate(float(rho), _frozen(pos),
                                 _residual(pos, rel, origin, d, math.sqrt)))
 
     best, ambiguous = 0, False

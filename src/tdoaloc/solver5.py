@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import DegenerateDeltasError, NoRealSolutionError, SingularMatrixError
 from .geom3 import solve3_pivoted
-from .measurement import SensorArray, _frame, _readonly, as_range_differences, as_sensor_array
+from .measurement import SensorArray, _frame, _frozen, as_range_differences, as_sensor_array
 from .result import LocalizationResult, Method
 
 # Relative (to the longest reference baseline) range-difference magnitude
@@ -134,7 +132,7 @@ def solve_five_sensor(sensors: SensorArray, deltas) -> LocalizationResult:
             raise NoRealSolutionError(
                 "range differences too large for the array: no finite position"
             )
-        return LocalizationResult(_readonly(np.array([x, y, z])), Method.FIVE_SENSOR, (), False, {
+        return LocalizationResult(_frozen([x, y, z]), Method.FIVE_SENSOR, (), False, {
             "pivots": pivots,
             "pivot_ratio": min(pivots) / max(pivots),
             "pairings": pairings,

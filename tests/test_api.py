@@ -263,6 +263,14 @@ def _object_new_owners(path: Path) -> list[str]:
     ))
 
 
+def _setflags_owners(path: Path) -> list[str]:
+    """``module.function`` for each ``.setflags(...)`` call in ``path``."""
+    return _owners(path, lambda node: (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "setflags"
+    ))
+
+
 def _is_blas_dot(node) -> bool:
     """Whether ``node`` is a ``@``, or a call of ``.dot``, ``.matmul``,
     ``.einsum`` or ``linalg.norm``."""
@@ -284,6 +292,15 @@ def test_one_builder_skips_a_constructor():
     package = Path(tdoaloc.__file__).parent
     owners = [o for path in sorted(package.glob("*.py")) for o in _object_new_owners(path)]
     assert owners == ["measurement._checked"]
+
+
+def test_one_function_freezes_arrays():
+    # Every array enters a record through measurement._frozen, which makes
+    # a float64 copy and freezes that copy. A second setflags call could
+    # freeze an array the package did not make, such as its caller's.
+    package = Path(tdoaloc.__file__).parent
+    owners = [o for path in sorted(package.glob("*.py")) for o in _setflags_owners(path)]
+    assert owners == ["measurement._frozen"]
 
 
 def test_batch_runs_the_solvers_rules():

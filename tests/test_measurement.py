@@ -13,6 +13,7 @@ from tdoaloc import (
     arrival_times_to_range_diffs,
     document_deltas,
     load_scenario,
+    localize,
     range_differences,
     write_scenario,
 )
@@ -210,6 +211,53 @@ def test_range_differences_validation():
     assert RangeDifferences(np.zeros(3)).n_sensors == 4
     assert RangeDifferences(np.zeros(4)).n_sensors == 5
 
+
+def _given(values, form):
+    """``values`` as a float64 array in one of three forms, with the array a
+    caller would write to afterwards: a fresh array (itself), a view of a
+    base array, or a strided slice of a larger one."""
+    base = np.array(values, dtype=float)
+    if form == "fresh":
+        return base, base
+    if form == "view":
+        return base[:], base
+    big = np.repeat(base, 2, axis=0)
+    return big[::2], big
+
+
+@pytest.mark.parametrize("form", ["fresh", "view", "strided"])
+def test_records_hold_their_own_copies(form):
+    # Each record holds its own read-only float64 copy of what its
+    # constructor checked: a caller's array is neither frozen nor kept, so
+    # writing to it afterwards cannot make a checked array coincident or
+    # its range differences infinite.
+    sensors, sensors_base = _given(CANONICAL_SENSORS_5, form)
+    deltas, deltas_base = _given(CANONICAL_DELTAS_5, form)
+    source, source_base = _given(CANONICAL_SOURCE, form)
+    given = [sensors, deltas, source]
+    before = [a.copy() for a in given]
+
+    arr = SensorArray(sensors)
+    rd = RangeDifferences(deltas)
+    scenario = Scenario(sensors, source)
+    position = localize(sensors, deltas).position
+    for a, b in zip(given, before):
+        assert a.flags.writeable
+        assert np.array_equal(a, b)
+    held = [arr.positions, scenario.sensors.positions, rd.deltas, scenario.source]
+    for h, g in zip(held, [sensors, sensors, deltas, source]):
+        assert h.dtype == np.float64 and not h.flags.writeable
+        assert not np.shares_memory(h, g)
+
+    sensors_base[:] = sensors_base[0]  # every sensor on sensor 0, the origin
+    deltas_base[:] = np.inf
+    source_base[:] = 0.0  # the source on sensor 0
+    assert arr.positions.tolist() == scenario.sensors.positions.tolist() == before[0].tolist()
+    assert rd.deltas.tolist() == before[1].tolist()
+    assert scenario.source.tolist() == before[2].tolist()
+    assert localize(arr, rd).position.tolist() == position.tolist()
+    assert range_differences(scenario).deltas.tolist() == range_differences(
+        Scenario(before[0], before[2])).deltas.tolist()
 
 def test_arrival_times_to_range_diffs():
     d = arrival_times_to_range_diffs([0.0, 1e-9, 2e-9, 3e-9], c=SPEED_OF_LIGHT)
