@@ -133,8 +133,11 @@ def solve_scale(draws: np.ndarray, n_sensors: int, source_scale: float):
 
     ``draws`` holds one row per instance: the first ``3 * n_sensors + 3``
     uniforms of its generator, the sensors and then the source of
-    ``sample_scenario``'s first draw. ``draws.T`` is read as columns, with no
-    copy for ``_streams.uniforms``'s layout.
+    ``sample_scenario``'s first draw. ``draws.T`` is read as columns. For a
+    whole ``_streams.uniforms`` batch of one scale it is C-contiguous and is
+    read with no copy; the per-scale parts that ``run_sweep`` splits off a
+    batch that spans scales are strided, so ``np.ascontiguousarray`` copies
+    them.
 
     Returns ``(generic, position, rel_error, losing)`` per instance: whether
     the row is generic, the ``(N, 3)`` estimate, its relative error, and the

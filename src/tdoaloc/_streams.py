@@ -10,9 +10,10 @@ for bit:
 - ``SeedSequence`` mixes its entropy words (the seed's 32-bit words,
   zero-padded to 4, then the scale and instance indices) into a pool of
   four 32-bit words, then hashes the pool into four 64-bit state words.
-  The seed's words are mixed once per batch and each scale's once per run,
-  on Python ints; only the instance index and the state hash run as
-  ``uint32`` arrays, on which each run's pool and hash constants broadcast.
+  The seed's words are mixed once per batch, on Python ints. The scale and
+  instance indices are one word each, so they are mixed in as two
+  ``uint32`` columns with one entry per row, and the state hash runs on
+  the resulting pool columns.
 - PCG64 (O'Neill 2014, "PCG: A Family of Simple Fast Space-Efficient
   Statistically Good Algorithms") is a 128-bit LCG with XSL-RR output.
   Seeding from state words ``s0..s3`` sets ``inc = (s2:s3 << 1) | 1``,
@@ -42,10 +43,8 @@ _XSHIFT = 16
 _POOL_SIZE = 4
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-# Most (draw, row) entries per pass of the draw arithmetic: 48 KB per buffer.
-_BLOCK = 6144
-# Largest instance index that is one entropy word, the only kind the row
-# arithmetic below takes.
+# Largest scale or instance index that is one entropy word, the only kind
+# the row arithmetic below takes.
 MAX_INSTANCE_INDEX = _MASK32
 
 
@@ -76,8 +75,9 @@ def _words(n: int) -> list[int]:
     return [n >> shift & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
 
 
-def _mix_in(pool: list[int], words, consts) -> list[int]:
-    """The pool after mixing in entropy words past the first four; ``pool`` is not modified."""
+def _mix_in(pool, words, consts) -> list:
+    """The pool after mixing in further entropy words, Python ints or
+    ``uint32`` columns; ``pool`` is not modified."""
     for w in words:
         pool = [_mix(p, _hashmix(w, next(consts))) for p in pool]
     return pool
@@ -146,20 +146,18 @@ def _mul_add(const, x_hi, x_lo, hi, lo, t0, t1) -> None:
 
 def _seeds(seed: int, runs) -> tuple[np.ndarray, ...]:
     """PCG64's seeding halves ``x_hi, x_lo, inc_hi, inc_lo``, ``(N,)``, for ``runs``."""
-    seed_pool, h = _seed_pool(seed)
-    # Per run, on Python ints: the pool after the scale index's words, and
-    # the instance index's four hashes' constant pairs, to broadcast to its rows.
-    table, index = [], []
+    top = MAX_INSTANCE_INDEX
     for si, first, stop in runs:
-        if seed < 0 or si < 0 or not 0 <= first <= stop <= MAX_INSTANCE_INDEX + 1:
+        if seed < 0 or not (0 <= si <= top and 0 <= first <= stop <= top + 1):
             raise ValueError(f"stream indices out of range: seed={seed}, run {(si, first, stop)}")
-        consts = _hash_consts(h, _MULT_A)
-        pool = _mix_in(seed_pool, _words(si), consts)
-        table.append(pool + [c for pair in zip(*islice(consts, _POOL_SIZE)) for c in pair])
-        index.append(np.arange(first, stop, dtype=np.uint32))
-    cols = np.repeat(np.array(table, dtype=np.uint32).T, [len(i) for i in index], axis=1)
-    pool = _mix(cols[:4], _hashmix(np.concatenate(index), (cols[4:8], cols[8:])))
-    state = _hashmix(pool[_STATE_CYCLE], _STATE_CONSTS).astype(np.uint64)
+    seed_pool, h = _seed_pool(seed)
+    sizes = [stop - first for _, first, stop in runs]
+    scale = np.repeat(np.array([si for si, _, _ in runs], np.uint32), sizes)
+    index = np.concatenate([np.arange(first, stop, dtype=np.uint32) for _, first, stop in runs])
+    # The seed's pool as (1,) columns, against which the index columns broadcast.
+    pool = np.array(seed_pool, np.uint32)[:, None]
+    pool = _mix_in(pool, (scale, index), _hash_consts(h, _MULT_A))
+    state = _hashmix(np.array(pool)[_STATE_CYCLE], _STATE_CONSTS).astype(np.uint64)
     s0, s1, s2, s3 = state[0::2] | state[1::2] << 32
     # PCG64 seeding: inc = (s2:s3 << 1) | 1, and after two steps the state
     # is M * x + inc with x = s0:s1 + inc.
@@ -187,15 +185,10 @@ def _draws(out, powers, sums, x_hi, x_lo, inc_hi, inc_lo) -> None:
 def uniforms(seed: int, runs, width: int) -> np.ndarray:
     """A batch's ``(N, width)`` doubles: for each ``(scale_index, first,
     stop)`` in ``runs``, in turn, the rows ``instance_rng(seed, scale_index,
-    ii).random(width)`` for ``ii`` in ``range(first, stop)``, bit for bit. The
-    seed and scale indices are non-negative ints of any size; instance
-    indices must not exceed ``MAX_INSTANCE_INDEX``."""
+    ii).random(width)`` for ``ii`` in ``range(first, stop)``, bit for bit, in
+    one pass of the draw arithmetic. The seed is a non-negative int of any
+    size; scale and instance indices must not exceed ``MAX_INSTANCE_INDEX``."""
     seeds = _seeds(seed, runs)
     draws = np.empty((width, len(seeds[0])))
-    powers, sums = _jump_consts(width)
-    # Draws j .. j + step - 1 in one pass: at least one, and at most _BLOCK entries.
-    step = max(_BLOCK // max(draws.shape[1], 1), 1)
-    for j in range(0, width, step):
-        block = slice(j, j + step)
-        _draws(draws[block], [c[block] for c in powers], [c[block] for c in sums], *seeds)
+    _draws(draws, *_jump_consts(width), *seeds)
     return draws.T

@@ -9,8 +9,10 @@ import textwrap
 import numpy as np
 import pytest
 
-from tdoaloc import DEFAULT_SCALE_GRID, instance_rng, sample_scenario
+from tdoaloc import DEFAULT_SCALE_GRID, ExperimentConfig, instance_rng, run_sweep, sample_scenario
+from tdoaloc import _streams
 from tdoaloc._streams import MAX_INSTANCE_INDEX, uniforms
+from tdoaloc.montecarlo import BATCH_ROWS, MAX_SCALES
 
 SEED = 20260809
 # One to five 32-bit entropy words, and random seeds of assorted sizes.
@@ -18,7 +20,8 @@ _rand = random.Random(9)
 SEEDS = [0, 1, 2**32 - 1, 2**32 + 5, 2**70 + 3, 2**130 + 9] + [
     _rand.getrandbits(bits) for bits in (16, 32, 33, 64, 96, 160)
 ]
-SCALE_INDICES = [0, 1, 12, 2**32 - 1, 2**32 + 3]
+# Scale indices of one 32-bit word, up to the largest.
+SCALE_INDICES = [0, 1, 12, 2**32 - 1]
 # Index ranges that hold 0, 1023, 1024 and the largest one-word index.
 INDEX_RANGES = [(0, 3), (1022, 1026), (MAX_INSTANCE_INDEX - 1, MAX_INSTANCE_INDEX + 1)]
 
@@ -43,15 +46,15 @@ def test_uniforms_equal_instance_rng_bit_for_bit(seed, width):
 # Seeds of one to five 32-bit words.
 WORD_SEEDS = [7, 2**32 + 5, 2**64 + 11, 2**96 + 13, 2**128 + 17]
 # Batches of runs (scale index, first, stop) that cross scale boundaries: a
-# run that starts mid-scale, one instance per scale, scale indices of one and
-# two words in one batch, empty runs, and the last instances of a scale whose
-# flat index (si * 2**32 + ii) does not fit in int64.
+# run that starts mid-scale, one instance per scale, the two largest one-word
+# scale indices in one batch, empty runs, and the last instances of a scale
+# whose flat index (si * 2**32 + ii) does not fit in int64.
 CROSS_SCALE_BATCHES = [
     [(3, 98, 100), (4, 0, 3)],
     [(si, 0, 1) for si in range(10, 16)],
-    [(2**32 - 1, 5, 7), (2**32, 0, 2), (2**32 + 3, 0, 1)],
+    [(2**32 - 2, 5, 7), (2**32 - 1, 0, 2)],
     [(0, 4, 4), (1, 0, 2), (2, 0, 0), (12, 0, 1)],
-    [(2**32 + 3, MAX_INSTANCE_INDEX - 1, MAX_INSTANCE_INDEX + 1), (2**32 + 4, 0, 2)],
+    [(2**32 - 2, MAX_INSTANCE_INDEX - 1, MAX_INSTANCE_INDEX + 1), (2**32 - 1, 0, 2)],
 ] + [
     [(si, first, first + _rand.randrange(4)) for si, first in zip(
         sorted(_rand.sample(SCALE_INDICES + list(range(2, 12)), 3)),
@@ -74,15 +77,45 @@ def test_batches_across_scales_equal_instance_rng_bit_for_bit(seed, width):
 
 
 def test_uniforms_reject_out_of_domain_indices():
-    # An instance index above MAX_INSTANCE_INDEX would be two spawn-key
-    # words; run_sweep never asks for one (ExperimentConfig caps n_instances).
+    # A scale or instance index above MAX_INSTANCE_INDEX would be two
+    # spawn-key words; run_sweep never asks for one (ExperimentConfig caps
+    # n_instances and the number of scales).
     with pytest.raises(ValueError):
         uniforms(SEED, [(0, MAX_INSTANCE_INDEX, MAX_INSTANCE_INDEX + 2)], 15)
+    for runs in ([(2**32, 0, 2)], [(2**32 + 3, 0, 1)], [(2**32 - 1, 5, 7), (2**32 + 4, 0, 2)]):
+        with pytest.raises(ValueError):
+            uniforms(SEED, runs, 15)
     with pytest.raises(ValueError):
         uniforms(-1, [(0, 0, 1)], 15)
     with pytest.raises(ValueError):
         uniforms(SEED, [(-1, 0, 1)], 15)
     assert uniforms(SEED, [(0, 5, 5)], 15).shape == (0, 15)
+
+
+def test_every_scale_index_is_one_word():
+    # uniforms mixes the scale index in as one 32-bit word, and a sweep's
+    # grid holds at most MAX_SCALES scales.
+    assert MAX_SCALES - 1 <= MAX_INSTANCE_INDEX
+
+
+def test_run_sweep_asks_for_at_most_a_batch_of_one_word_indices(monkeypatch):
+    # uniforms computes its draws in one pass over every row it is given, and
+    # takes one-word indices only: each call of a multi-batch sweep, those
+    # that span scales included, asks for at most BATCH_ROWS rows of them.
+    calls = []
+
+    def spy(seed, runs, width):
+        calls.append(runs)
+        return uniforms(seed, runs, width)
+
+    monkeypatch.setattr(_streams, "uniforms", spy)
+    run_sweep(ExperimentConfig(n_sensors=4, n_instances=3000, seed=SEED,
+                               scale_grid=(1e-3, 1e-1, 1.0)))
+    assert len(calls) == -(-3 * 3000 // BATCH_ROWS)
+    assert any(len(runs) > 1 for runs in calls)
+    for runs in calls:
+        assert sum(stop - first for _, first, stop in runs) <= BATCH_ROWS, runs
+        assert all(0 <= si <= MAX_INSTANCE_INDEX for si, _, _ in runs), runs
 
 
 @pytest.mark.parametrize("n_sensors", [4, 5])

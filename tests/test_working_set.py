@@ -27,7 +27,8 @@ from tdoaloc.montecarlo import BATCH_ROWS
 # measured with numpy 2.4 and rounded up to 10 B (the arrays are float64 and
 # uint64, so the count varies little across platforms). A rise means a kernel
 # step holds more temporaries; the earlier (N, 3, 3) kernel read 1480 and 1231.
-# Five sensors peak at 905, four at 735.
+# Five sensors peak at 905, four at 735. The draws, one pass over the
+# batch, peak at 755 (five sensors, width 18) and 659 (four, width 15).
 UNIFORMS_BYTES_PER_ROW = 780
 SOLVE_BYTES_PER_ROW = 910
 
@@ -84,6 +85,7 @@ def test_batch_peak_bytes_per_row():
     assert _peak_bytes(uniforms, 11, [(0, 0, n)], 15) <= UNIFORMS_BYTES_PER_ROW * n
     assert _peak_bytes(solve_scale, draws, 4, 1e-3) <= SOLVE_BYTES_PER_ROW * n
     draws = uniforms(11, [(0, 0, n)], 18)
+    assert _peak_bytes(uniforms, 11, [(0, 0, n)], 18) <= UNIFORMS_BYTES_PER_ROW * n
     assert _peak_bytes(solve_scale, draws, 5, 1e-3) <= SOLVE_BYTES_PER_ROW * n
 
 
