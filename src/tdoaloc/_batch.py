@@ -1,13 +1,14 @@
 """Batch scoring of sweep instances for :func:`tdoaloc.montecarlo.run_sweep`.
 
-The instances of one sweep scale run as the rows of numpy arrays: each
-coordinate, matrix entry or right-hand side is an ``(N,)`` column. Every
-straight-line rule is the solvers' own helper, called on columns, so a row
-gets ``run_instance``'s result bit for bit. This module keeps the pivoted
-3x3 elimination, where a row swap is a ``np.where`` between columns, and
-the branches, as masks: a row is generic when the scalar path would take
-no branch but the plain one. Every other row is left to the scalar path,
-so each edge case keeps its one, scalar, implementation.
+The instances of one sweep scale run as the rows of numpy arrays, read in
+place from the batch's draws: each coordinate, matrix entry or right-hand
+side is an ``(N,)`` column. Every straight-line rule is the solvers' own
+helper, called on columns, so a row gets ``run_instance``'s result bit for
+bit. This module keeps the pivoted 3x3 elimination, where a row swap is a
+``np.where`` between columns, and the branches, as masks: a row is generic
+when the scalar path would take no branch but the plain one. Every other
+row is left to the scalar path, so each edge case keeps its one, scalar,
+implementation.
 """
 
 from __future__ import annotations
@@ -131,13 +132,10 @@ def _five_sensor(rel, sq, origin, d):
 def solve_scale(draws: np.ndarray, n_sensors: int, source_scale: float):
     """Sample, forward-model, solve and score a batch of one scale's instances.
 
-    ``draws`` holds one row per instance: the first ``3 * n_sensors + 3``
-    uniforms of its generator, the sensors and then the source of
-    ``sample_scenario``'s first draw. ``draws.T`` is read as columns. For a
-    whole ``_streams.uniforms`` batch of one scale it is C-contiguous and is
-    read with no copy; the per-scale parts that ``run_sweep`` splits off a
-    batch that spans scales are strided, so ``np.ascontiguousarray`` copies
-    them.
+    ``draws`` holds one row per instance, with any strides: the first
+    ``3 * n_sensors + 3`` uniforms of its generator, the sensors and then the
+    source of ``sample_scenario``'s first draw. ``draws.T`` is read in place
+    as columns.
 
     Returns ``(generic, position, rel_error, losing)`` per instance: whether
     the row is generic, the ``(N, 3)`` estimate, its relative error, and the
@@ -145,7 +143,7 @@ def solve_scale(draws: np.ndarray, n_sensors: int, source_scale: float):
     rows hold results; the others must be run through the scalar path.
     """
     n = n_sensors
-    cols = np.ascontiguousarray(draws.T)
+    cols = draws.T
     with np.errstate(all="ignore"):
         sensors = cols[: 3 * n].reshape(n, 3, -1) - 0.5
         source = source_scale * (cols[3 * n:] - 0.5)

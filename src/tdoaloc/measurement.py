@@ -188,9 +188,12 @@ def _frame(rows) -> tuple[list, list, tuple[float, ...], float]:
 
 def range_differences(scenario: Scenario | ScenarioDocument) -> RangeDifferences:
     """Noise-free forward model: range differences against the reference,
-    of a scenario or of a document with a source. Raises ValueError if the
-    source sits on a sensor (a document's source is not checked for that
-    on loading) or if a range overflows (a source beyond about 1e154 m)."""
+    of a scenario or of a document with a source. Raises ValueError if a
+    document has no source, if the source sits on a sensor (a document's
+    source is not checked for that on loading) or if a range overflows (a
+    source beyond about 1e154 m)."""
+    if scenario.source is None:
+        raise ValueError("the document has no source; its range differences are doc.deltas")
     d = _forward(scenario.sensors.positions.tolist(), scenario.source.tolist())
     if not all(map(math.isfinite, d)):
         raise ValueError("range differences must be finite")

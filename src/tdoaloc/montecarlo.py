@@ -160,12 +160,12 @@ def sample_scenario(rng: np.random.Generator, n_sensors: int, source_scale: floa
     same shrunk by ``source_scale``. Sensors are drawn before the source.
 
     Raises:
-        InvalidConfigError: ``n_sensors`` is not 4 or 5, or ``source_scale``
-            is not finite and positive; nothing is drawn.
+        InvalidConfigError: ``n_sensors`` is not the integer 4 or 5, or
+            ``source_scale`` is not finite and positive; nothing is drawn.
         DegenerateSamplingError: after MAX_SAMPLE_ATTEMPTS rejected draws.
     """
-    if n_sensors not in (4, 5):
-        raise InvalidConfigError(f"n_sensors must be 4 or 5, got {n_sensors}")
+    if not isinstance(n_sensors, numbers.Integral) or n_sensors not in (4, 5):
+        raise InvalidConfigError(f"n_sensors must be the integer 4 or 5, got {n_sensors!r}")
     if not 0.0 < source_scale < math.inf:
         raise InvalidConfigError(f"source_scale must be finite and positive, got {source_scale}")
     for _ in range(MAX_SAMPLE_ATTEMPTS):
@@ -226,10 +226,10 @@ def run_sweep(config: ExperimentConfig) -> tuple[SweepCell, ...]:
     threshold index.
 
     Each batch of the flat index ``si * n_instances + ii`` takes one
-    ``_streams.uniforms`` call, one ``_batch.solve_scale`` call per scale in
-    it, reruns of the rows it cannot prove generic, and one ``np.bincount``
-    per threshold. The tallies equal a one-by-one pass bit for bit, and
-    memory does not grow with ``n_instances``.
+    ``_streams.uniforms`` call, one ``_batch.solve_scale`` call per scale on
+    a view of its rows, reruns of the rows it cannot prove generic, and one
+    ``np.bincount`` per threshold. The tallies equal a one-by-one pass bit
+    for bit, and memory does not grow with ``n_instances``.
     """
     # Imported here, not at module level, so that importing the package for
     # single solves (``tdoaloc locate``) does not load the batch code.

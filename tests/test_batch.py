@@ -17,6 +17,7 @@ from tdoaloc import (
     sample_scenario,
 )
 from tdoaloc._batch import solve_scale
+from test_working_set import _peak_bytes
 
 SEED = 20260809
 THRESHOLDS = (1e-6, 1e-3)
@@ -239,3 +240,22 @@ def test_reruns_take_scale_and_instance_from_the_flat_index(monkeypatch, n_senso
            for c in cells]
     assert [c.source_scale for c in cells] == [0.5, 0.5, 1.0, 1.0]
     assert got == expected
+
+
+@pytest.mark.parametrize("n_sensors", [4, 5])
+def test_scale_parts_of_a_batch_are_read_in_place(n_sensors):
+    # run_sweep splits a batch that spans scales into per-scale row blocks,
+    # whose transposes are strided. Each block gives the same four outputs,
+    # bit for bit, as the same rows laid out as a whole one-scale batch, and
+    # solve_scale reads it without a copy: its traced peak is no larger.
+    runs = [(0, 50, 100), (1, 0, 100), (2, 0, 24)]
+    sizes = [stop - first for _, first, stop in runs]
+    draws = _streams.uniforms(7, runs, 3 * n_sensors + 3)
+    for part, scale in zip(np.split(draws, np.cumsum(sizes[:-1])), (1e-3, 1.0, 1e8)):
+        whole = np.ascontiguousarray(part.T).T
+        assert not part.T.flags.c_contiguous and whole.T.flags.c_contiguous
+        for got, want in zip(solve_scale(part, n_sensors, scale),
+                             solve_scale(whole, n_sensors, scale)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), scale
+        strided = _peak_bytes(solve_scale, part, n_sensors, scale)
+        assert strided <= _peak_bytes(solve_scale, whole, n_sensors, scale), scale

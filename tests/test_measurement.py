@@ -288,6 +288,10 @@ def test_scenario_document_with_times(tmp_path):
     path.write_text(json.dumps({"sensors": CANONICAL_SENSORS_5, "times": times}))
     doc = load_scenario(path)
     np.testing.assert_allclose(doc.deltas.deltas, deltas, rtol=1e-12, atol=1e-15)
+    # A document without a source has nothing to forward-model.
+    with pytest.raises(ValueError, match="no source.*doc.deltas"):
+        range_differences(doc)
+    assert document_deltas(doc) is doc.deltas
 
 
 def test_scenario_document_errors(tmp_path):
