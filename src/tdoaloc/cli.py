@@ -27,6 +27,7 @@ from .montecarlo import (
     MAX_SCALES,
     ExperimentConfig,
     SweepCell,
+    _integer,
     run_sweep,
     sample_scenario,
 )
@@ -153,9 +154,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.seed < 0:
-        raise InvalidConfigError(f"--seed must be >= 0, got {args.seed}")
-    scenario = sample_scenario(np.random.default_rng(args.seed), args.sensors, args.scale)
+    seed = _integer("--seed", args.seed, 0, math.inf)
+    scenario = sample_scenario(np.random.default_rng(seed), args.sensors, args.scale)
     return _write_out(args.out, lambda out: write_scenario(out, scenario))
 
 
@@ -176,7 +176,7 @@ def _parser() -> argparse.ArgumentParser:
     p_locate.set_defaults(func=cmd_locate)
 
     p_sweep = sub.add_parser("sweep", help="run a Monte Carlo success-fraction sweep")
-    p_sweep.add_argument("--sensors", type=int, choices=(4, 5), default=5)
+    p_sweep.add_argument("--sensors", type=int, default=5, help="4 or 5")
     p_sweep.add_argument("--instances", type=int, default=1000, help="instances per scale")
     p_sweep.add_argument("--seed", type=int, default=0)
     scales = p_sweep.add_mutually_exclusive_group()
@@ -194,7 +194,7 @@ def _parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_gen = sub.add_parser("gen", help="generate a random scenario file with truth source")
-    p_gen.add_argument("--sensors", type=int, default=5)
+    p_gen.add_argument("--sensors", type=int, default=5, help="4 or 5")
     p_gen.add_argument("--scale", type=float, default=1.0, help="source region scale")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", default=None, help="output path (default stdout)")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import errno
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from itertools import combinations, repeat
@@ -203,9 +204,15 @@ def range_differences(scenario: Scenario | ScenarioDocument) -> RangeDifferences
 def arrival_times_to_range_diffs(times, c: float = SPEED_OF_LIGHT) -> np.ndarray:
     """Convert absolute arrival times (s, reference first) to range
     differences (m) at propagation speed ``c`` (m/s). A product beyond the
-    float range is inf, without a warning; ``RangeDifferences`` rejects it."""
-    if not c > 0.0:
-        raise ValueError(f"propagation speed must be positive, got {c}")
+    float range is inf, without a warning; ``RangeDifferences`` rejects it.
+    A ``c`` that is not a finite, positive real number, as a document's ``c``
+    must be, raises ValueError; a bool or a string is not one."""
+    try:  # a bool is an int to Python; an int beyond the float range overflows
+        finite = not isinstance(c, bool) and isinstance(c, numbers.Real) and 0 < float(c) < math.inf
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"propagation speed must be a finite, positive number: {_clip(repr(c))}")
     t = np.asarray(times, dtype=float)
     if t.ndim != 1:
         raise ValueError(f"arrival times must be a 1-D sequence, got shape {t.shape}")

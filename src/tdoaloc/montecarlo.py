@@ -74,7 +74,7 @@ def _outcomes(rel_error, losing, thresholds) -> np.ndarray:
 
 def _positive_floats(name: str, values) -> tuple[float, ...]:
     """``values`` as a non-empty tuple of finite, positive floats, or
-    InvalidConfigError: the rule for a config's thresholds and scales."""
+    InvalidConfigError: the rule for thresholds and source scales."""
     try:
         # float() would read "1e-3", b"1" and True as numbers. A str's items
         # are strs; a bytes object, whose items are ints, is one item.
@@ -83,10 +83,18 @@ def _positive_floats(name: str, values) -> tuple[float, ...]:
             raise TypeError(f"got {values!r}")
         floats = tuple(float(v) for v in items)
     except (TypeError, ValueError) as err:
-        raise InvalidConfigError(f"{name} must be a sequence of numbers: {err}") from None
+        raise InvalidConfigError(f"{name} takes numbers only: {err}") from None
     if not floats or not all(0.0 < v < math.inf for v in floats):
         raise InvalidConfigError(f"{name} must be finite and positive, got {floats}")
     return floats
+
+
+def _integer(name: str, value, lo: int, hi: float) -> int:
+    """``value`` as an int if it is an integer in ``[lo, hi]``, not a bool or
+    a float, or InvalidConfigError: the rule for every count and seed."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not lo <= value <= hi:
+        raise InvalidConfigError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -102,19 +110,9 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("thresholds", "scale_grid"):
             object.__setattr__(self, name, _positive_floats(name, getattr(self, name)))
-        for name in ("n_sensors", "n_instances", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.n_sensors not in (4, 5):
-            raise InvalidConfigError(f"n_sensors must be 4 or 5, got {self.n_sensors}")
-        if not 1 <= self.n_instances <= MAX_INSTANCES:
-            raise InvalidConfigError(
-                f"n_instances must be in [1, {MAX_INSTANCES}], got {self.n_instances}"
-            )
-        if self.seed < 0:
-            raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
+        for name, lo, hi in (("n_sensors", 4, 5), ("n_instances", 1, MAX_INSTANCES),
+                             ("seed", 0, math.inf)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), lo, hi))
         if len(self.scale_grid) > MAX_SCALES:
             raise InvalidConfigError(
                 f"scale grid must hold at most {MAX_SCALES} scales, got {len(self.scale_grid)}"
@@ -161,13 +159,12 @@ def sample_scenario(rng: np.random.Generator, n_sensors: int, source_scale: floa
 
     Raises:
         InvalidConfigError: ``n_sensors`` is not the integer 4 or 5, or
-            ``source_scale`` is not finite and positive; nothing is drawn.
+            ``source_scale`` is not a finite, positive number (a bool or a
+            string is rejected); nothing is drawn.
         DegenerateSamplingError: after MAX_SAMPLE_ATTEMPTS rejected draws.
     """
-    if not isinstance(n_sensors, numbers.Integral) or n_sensors not in (4, 5):
-        raise InvalidConfigError(f"n_sensors must be the integer 4 or 5, got {n_sensors!r}")
-    if not 0.0 < source_scale < math.inf:
-        raise InvalidConfigError(f"source_scale must be finite and positive, got {source_scale}")
+    n_sensors = _integer("n_sensors", n_sensors, 4, 5)
+    (source_scale,) = _positive_floats("source_scale", (source_scale,))
     for _ in range(MAX_SAMPLE_ATTEMPTS):
         sensors = rng.random((n_sensors, 3)) - 0.5
         source = source_scale * (rng.random(3) - 0.5)

@@ -303,6 +303,17 @@ def test_one_function_freezes_arrays():
     assert owners == ["measurement._frozen"]
 
 
+def test_one_function_checks_integers():
+    # Sensor counts, instance counts and seeds are integers by one rule,
+    # montecarlo._integer. A second isinstance(..., numbers.Integral) would be
+    # a second rule that could accept what the first rejects, such as a bool.
+    package = Path(tdoaloc.__file__).parent
+    owners = [o for path in sorted(package.glob("*.py")) for o in _owners(path, lambda node: (
+        isinstance(node, ast.Attribute) and node.attr == "Integral"
+    ))]
+    assert owners == ["montecarlo._integer"]
+
+
 def test_batch_runs_the_solvers_rules():
     # The sweep batch calls the solvers' straight-line helpers on columns and
     # defines only its squared norms, its pivoted elimination, its masks and

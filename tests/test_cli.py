@@ -391,6 +391,16 @@ def test_gen_same_seed_identical_files(tmp_path, capsys):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("sensors", ["3", "6"])
+def test_sweep_rejects_bad_sensor_count(capsys, sensors):
+    # ExperimentConfig decides, as sample_scenario does for gen: exit 5, not
+    # argparse's usage error.
+    assert main(["sweep", "--sensors", sensors, "--instances", "1"]) == EXIT_INVALID_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_gen_rejects_bad_sensor_count(capsys):
     assert main(["gen", "--sensors", "6"]) == EXIT_INVALID_CONFIG
     capsys.readouterr()

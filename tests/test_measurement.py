@@ -102,9 +102,10 @@ def test_tdoa_to_range_diff():
     assert one(0.0) == 0.0
     assert one(1.0) == 299_792_458.0
     assert one(-1e-6, c=343.0) == pytest.approx(-3.43e-4, rel=1e-12)
-    for c in (0.0, -1.0):
+    for c in (0.0, -1.0, "343", None, True, math.inf):
         with pytest.raises(ValueError):
             arrival_times_to_range_diffs([0.0, 1.0], c=c)
+    assert one(1.0, c=np.float64(343.0)) == 343.0
     # A scalar or a 2-D input is a ValueError naming its shape, not a TypeError.
     for times, shape in ((5.0, r"\(\)"), ([[0.0, 1.0], [2.0, 3.0]], r"\(2, 2\)")):
         with pytest.raises(ValueError, match=f"got shape {shape}"):

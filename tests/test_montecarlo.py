@@ -111,6 +111,7 @@ def test_sampling_abort_after_bounded_attempts(monkeypatch):
 @pytest.mark.parametrize("n_sensors, scale", [
     (3, 1.0), (6, 1.0), (5, 0.0), (5, -1.0), (4, float("nan")), (4, float("inf")),
     (4.0, 1.0), (np.float64(5.0), 1.0),
+    (5, "1"), (5, None), (5, True), (5, np.array([1.0, 2.0])),
 ])
 def test_sampling_rejects_bad_arguments_before_drawing(n_sensors, scale):
     rng = np.random.default_rng(3)
